@@ -1,11 +1,11 @@
 """The generalized Borsuk question: splitting into parts of smaller diameter.
 
 Can a space be partitioned into m pieces, each of strictly smaller
-diameter than the whole?  For two-distance spaces the answer flips from
-"no" to "yes" exactly at the clique covering number of the
-minimal-distance graph, and a witness partition into cliques exists from
-that point on.  For arbitrary spaces the library falls back to direct
-search, cross-checked against the distance criterion.
+diameter than the whole?  A piece is below the diameter exactly when it
+is a clique of the graph joining the pairs closer than the diameter, so
+the answer flips from "no" to "yes" at the clique covering number of
+that graph, and a witness partition into cliques exists from that point
+on.  For a two-distance space the graph is the minimal-distance graph.
 """
 
 from fractions import Fraction
@@ -33,8 +33,8 @@ for m in range(1, 6):
         blocks = " | ".join(" ".join(space.points[i] for i in blk) for blk in witness.blocks)
         print(f"  m={m}: feasible, witness {blocks} (diam {partition_diameter(space, witness)})")
 
-# A space the closed form does not cover: an equilateral triangle plus a
-# remote point.  Decided by direct partition search.
+# An equilateral triangle plus a remote point: the pairs closer than the
+# diameter 2 form the triangle, one clique, so two parts already suffice.
 general = validate_metric(
     ["p", "q", "r", "far"],
     [[0, 1, 1, 2], [1, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]],

@@ -8,10 +8,14 @@ nine-way case split on (m, n, k, theta); every case value is a maximum
 of affine functions of lambda, which also yields exact piecewise-linear
 sweep curves.
 
-The same table decides the generalized Borsuk problem (can X be split
-into m parts of strictly smaller diameter?) and, run in reverse over a
-space built from a graph, recovers the clique covering number and the
-chromatic number of that graph.
+Run in reverse over a space built from a graph, the table recovers the
+clique covering number and the chromatic number of that graph.
+
+The same clique-cover argument decides the generalized Borsuk problem
+(can X be split into m parts of strictly smaller diameter?) for every
+finite space: a part is below diam X exactly when it is a clique of
+G_{<diam X}, the graph of the pairs closer than diam X, so the answer is
+m >= theta(G_{<diam X}).  For a two-distance space that graph is G.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .errors import (
     DegenerateGraph,
     InvalidM,
     NonPositiveLambda,
-    NotTwoDistance,
     SinglePoint,
 )
 from .graphs import (
@@ -39,19 +42,12 @@ from .graphs import (
 from .metric import (
     FiniteMetricSpace,
     TwoDistanceSpace,
-    as_two_distance,
     diameter,
     min_distance_graph,
     two_distance_space_from_graph,
 )
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    gh_oracle,
-    partition_diameter,
-    partition_from_blocks,
-)
-from .rationals import INF, RationalOrInf
+from .partitions import Partition, partition_from_blocks
+from .rationals import INF, RationalOrInf, exact
 
 
 class GHCaseTag(enum.Enum):
@@ -100,7 +96,7 @@ class PiecewiseLinearCurve:
     case: GHCase
 
     def evaluate(self, lam: Union[Fraction, int, str]) -> Fraction:
-        lam = Fraction(lam)
+        lam = exact(lam, "lambda")
         if lam <= 0:
             raise NonPositiveLambda(lam)
         for seg in self.segments:
@@ -180,14 +176,14 @@ def _case_pieces(tag: GHCaseTag, a: Fraction, b: Fraction) -> tuple[tuple[int, F
     if tag is GHCaseTag.M_EQ_N:
         return ((-1, b), (1, -a))
     assert tag is GHCaseTag.M_GT_N
-    return ((-1, b), (1, 0))
+    return ((-1, b), (1, Fraction(0)))
 
 
 def gh_two_distance(
     tds: TwoDistanceSpace, m: int, lam: Union[Fraction, int, str]
 ) -> GHValue:
     """Twice the Gromov-Hausdorff distance to the m-point simplex of side ``lam``."""
-    lam = Fraction(lam)
+    lam = exact(lam, "lambda")
     if lam <= 0:
         raise NonPositiveLambda(lam)
     case = classify_case(tds, m)
@@ -241,12 +237,11 @@ def borsuk_feasible(
 ) -> tuple[bool, Optional[Partition]]:
     """Can the space be split into m parts of strictly smaller diameter?
 
-    Two-distance spaces are decided through the clique covering number of
-    the minimal-distance graph (feasible iff m >= theta), with a witness
-    partition into blocks of diameter at most a.  Any other space is
-    decided by direct search over m-block partitions, cross-checked
-    against the distance criterion 2 d_GH(lambda simplex_m, X) < diam X
-    evaluated by the partition oracle at lambda = diam X / 2.
+    A part has diameter below diam X exactly when it is a clique of
+    G_{<diam X}, the graph joining the pairs closer than diam X.  So the
+    split exists iff m >= theta(G_{<diam X}); the witness is a minimum
+    clique cover refined to m blocks.  For a two-distance space this graph
+    is the minimal-distance graph and the rule is the paper's m >= theta.
     """
     n = space.n
     diam = diameter(space)
@@ -254,37 +249,17 @@ def borsuk_feasible(
         raise SinglePoint("the Borsuk question needs at least two points")
     if m < 1 or m > n:
         raise InvalidM(m, n)
-    try:
-        tds = as_two_distance(space)
-    except NotTwoDistance:
-        tds = None
-    if tds is not None:
-        g = min_distance_graph(tds)
-        _, theta = graph_invariants(g)
-        if m < theta:
-            return False, None
-        _, cover = clique_cover_number(g)
-        witness = _split_to_m_blocks(cover.blocks, m, n)
-        return True, witness
-
-    witness = None
-    for part in enumerate_partitions(n, m):
-        if partition_diameter(space, part) < diam:
-            witness = part
-            break
-    feasible = witness is not None
-    oracle_says = gh_oracle(space, m, Fraction(diam, 2)) < diam
-    if oracle_says != feasible:
-        raise RuntimeError(
-            "partition search and distance criterion disagree; this contradicts "
-            f"the duality (m={m}, n={n})"
-        )
-    return feasible, witness
+    dist = space.dist
+    closer = SimpleGraph(
+        n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] < diam)
+    )
+    theta, cover = clique_cover_number(closer)
+    if m < theta:
+        return False, None
+    return True, _split_to_m_blocks(cover.blocks, m, n)
 
 
 def _checked_graph_params(g: SimpleGraph, a: Fraction, b: Fraction) -> None:
-    a = Fraction(a)
-    b = Fraction(b)
     if not (0 < a < b):
         raise BadParameters(f"need 0 < a < b, got a={a}, b={b}")
     if b > 2 * a:
@@ -314,7 +289,7 @@ def clique_cover_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
     adjacent pairs, then finds the greatest m with
     2 d_GH(a simplex_m, V) = b; the answer is that m plus one.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a, "a"), exact(b, "b")
     _checked_graph_params(g, a, b)
     tds = two_distance_space_from_graph(g, a, b)
     return _sweep_first_drop(tds, a, b)
@@ -323,7 +298,7 @@ def clique_cover_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
 def chromatic_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
     """Chromatic number recovered the same way, with distance ``b`` between
     adjacent pairs (the minimal-distance graph becomes the complement)."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a, "a"), exact(b, "b")
     _checked_graph_params(g, a, b)
     tds = two_distance_space_from_graph(complement(g), a, b)
     return _sweep_first_drop(tds, a, b)

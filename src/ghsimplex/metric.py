@@ -22,14 +22,7 @@ from .errors import (
     TriangleViolation,
 )
 from .graphs import SimpleGraph
-
-
-def _to_rational(value: Union[Fraction, int, str], where: str) -> Fraction:
-    # Floats are rejected outright: binary rounding would silently break
-    # the exact-equality contract every downstream formula relies on.
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"{where}: distances must be exact (int, str or Fraction)")
-    return Fraction(value)
+from .rationals import exact
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ def validate_metric(
         raise ValueError(f"matrix must be {n}x{n} to match the point list")
 
     dist = tuple(
-        tuple(_to_rational(matrix[i][j], f"dist[{i}][{j}]") for j in range(n))
+        tuple(exact(matrix[i][j], f"dist[{i}][{j}]") for j in range(n))
         for i in range(n)
     )
     for i in range(n):

@@ -22,14 +22,13 @@ across processes; merged results are identical to a sequential scan.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyInput, InvalidM, NonPositiveLambda
 from .metric import FiniteMetricSpace, diameter
-from .rationals import INF, RationalOrInf
+from .rationals import INF, RationalOrInf, exact
 
 
 class _AbortScan(Exception):
@@ -339,6 +338,10 @@ def ad_set_parallel(
         for pfx in prefixes:
             pairs |= worker(pfx)
     else:
+        # Imported here: the pool machinery (multiprocessing) costs every
+        # CLI call its import time, and only this function needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             for chunk in pool.map(worker, prefixes, chunksize=max(1, len(prefixes) // 16)):
                 pairs |= chunk
@@ -364,12 +367,6 @@ def h_value(point: ADPoint, lam: Fraction) -> Fraction:
     if point.alpha == INF:
         return point.d
     return max(point.d, lam - point.alpha)
-
-
-def _exact(lam: Union[Fraction, int, str]) -> Fraction:
-    if isinstance(lam, bool) or isinstance(lam, float):
-        raise TypeError("lambda must be exact (int, str or Fraction)")
-    return Fraction(lam)
 
 
 def _min_h_scan(space: FiniteMetricSpace, m: int, lam: Fraction) -> Fraction:
@@ -480,7 +477,7 @@ def gh_oracle(
     minimizes over the complete pair set instead; both modes return the
     same value.
     """
-    lam = _exact(lam)
+    lam = exact(lam, "lambda")
     if lam <= 0:
         raise NonPositiveLambda(lam)
     if m < 1:

@@ -22,6 +22,18 @@ RationalOrInf = Union[Fraction, float]
 INF = math.inf
 
 
+def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
+    """``Fraction(value)`` for an exact input; the one guard at every public entry.
+
+    Floats are rejected outright: binary rounding would silently break the
+    exact-equality contract every downstream formula relies on.  ``bool``
+    is an ``int`` subclass but never a meaningful number here.
+    """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{what} must be exact (int, str or Fraction)")
+    return Fraction(value)
+
+
 def parse_rational(text: str | int, where: str | None = None) -> Fraction:
     """Parse ``"p/q"``, decimal (``"1.5"``) or integer strings exactly."""
     if isinstance(text, bool):

@@ -115,13 +115,16 @@ def random_cluster_two_distance(
     return two_distance_space_from_graph(g, a, b)
 
 
-def random_metric_space(rng: random.Random, n: int) -> FiniteMetricSpace:
-    """Random exact metric with values in [1, 2]; the triangle inequality
-    holds automatically because 2 <= 1 + 1."""
+def random_metric_space(
+    rng: random.Random, n: int, denominator: int = 10
+) -> FiniteMetricSpace:
+    """Random exact metric with values in [1, 2] on a grid of step
+    1/denominator; the triangle inequality holds automatically because
+    2 <= 1 + 1.  A coarse grid makes the diameter repeat across many pairs."""
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = Fraction(rng.randint(10, 20), 10)
+            d = Fraction(rng.randint(denominator, 2 * denominator), denominator)
             matrix[i][j] = matrix[j][i] = d
     return validate_metric([f"p{i}" for i in range(n)], matrix)
 

@@ -200,6 +200,38 @@ def test_criterion_6_borsuk_duality():
     _report(6, f"partition search, theta rule and distance rule agree on {decisions} decisions")
 
 
+def test_criterion_6_borsuk_duality_on_general_spaces():
+    rng = random.Random(7070)
+    decisions = 0
+    infeasible_above_one = 0
+    for denominator in (10, 2):
+        for n in range(3, 9):
+            for _ in range(30):
+                space = random_metric_space(rng, n, denominator)
+                diam = max(space.off_diagonal_values())
+                for m in range(1, n + 1):
+                    by_search = any(
+                        partition_diameter(space, p) < diam
+                        for p in enumerate_partitions(n, m)
+                    )
+                    by_distance = gh_oracle(space, m, diam / 2) < diam
+                    feasible, witness = borsuk_feasible(space, m)
+                    assert by_search == by_distance == feasible, (n, m, space.dist)
+                    if feasible:
+                        assert witness.m == m
+                        assert partition_diameter(space, witness) < diam
+                    else:
+                        assert witness is None
+                        infeasible_above_one += m > 1
+                    decisions += 1
+    assert infeasible_above_one > 0
+    _report(
+        6,
+        f"theta rule, partition search and distance rule agree on {decisions} decisions "
+        f"over general spaces ({infeasible_above_one} infeasible with m > 1)",
+    )
+
+
 def test_criterion_7_graph_numbers_recovered_via_distances():
     rng = random.Random(808)
     graphs = 0

@@ -11,6 +11,7 @@ from ghsimplex import (
     INF,
     InvalidM,
     NonPositiveLambda,
+    SimpleGraph,
     SinglePoint,
     borsuk_feasible,
     chromatic_number,
@@ -186,6 +187,51 @@ class TestCurve:
         with pytest.raises(NonPositiveLambda):
             gh_curve(e1_tds, 2).evaluate(0)
 
+    def test_intercepts_are_fractions_in_every_case(self):
+        graphs = [
+            SimpleGraph(4, frozenset([(0, 1), (2, 3)])),
+            SimpleGraph(6, frozenset([(0, 1), (2, 3), (4, 5)])),
+            cycle_graph(5),
+            SimpleGraph(7, cycle_graph(5).edges | {(5, 6)}),
+        ]
+        tags = set()
+        for g in graphs:
+            tds = two_distance_space_from_graph(g, F(1), F(3, 2))
+            for m in range(1, tds.n + 2):
+                curve = gh_curve(tds, m)
+                tags.add(curve.case.tag)
+                for seg in curve.segments:
+                    assert type(seg.intercept) is F, (curve.case.tag, seg)
+        assert tags == set(GHCaseTag)
+
+
+INEXACT = [0.5, True]
+
+
+class TestExactInputs:
+    @pytest.mark.parametrize("lam", INEXACT)
+    def test_gh_two_distance(self, e1_tds, lam):
+        with pytest.raises(TypeError):
+            gh_two_distance(e1_tds, 2, lam)
+
+    @pytest.mark.parametrize("lam", INEXACT)
+    def test_curve_evaluate(self, e1_tds, lam):
+        with pytest.raises(TypeError):
+            gh_curve(e1_tds, 2).evaluate(lam)
+
+    @pytest.mark.parametrize("lam", INEXACT)
+    def test_gh_oracle(self, e1_space, lam):
+        with pytest.raises(TypeError):
+            gh_oracle(e1_space, 2, lam)
+
+    @pytest.mark.parametrize("via_gh", [clique_cover_via_gh, chromatic_via_gh])
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, F(3, 2)), (F(1), 1.5), (True, F(3, 2)), (F(1), True)]
+    )
+    def test_graph_numbers_via_gh(self, via_gh, a, b):
+        with pytest.raises(TypeError):
+            via_gh(cycle_graph(5), a, b)
+
 
 class TestBorsuk:
     def test_e2_two_parts_infeasible(self, e2_space):
@@ -205,8 +251,8 @@ class TestBorsuk:
         assert witness.blocks == ((0, 1), (2, 3))
 
     def test_general_space_direct_route(self):
-        # An equilateral simplex is not two-distance, so the decision runs
-        # through direct partition search plus the oracle cross-check.
+        # An equilateral simplex is not two-distance: no pair is closer than
+        # the diameter, so G_{<diam X} is edgeless and theta = n.
         space = validate_metric(["p", "q", "r"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert borsuk_feasible(space, 2) == (False, None)
         feasible, witness = borsuk_feasible(space, 3)

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import ghsimplex
 from ghsimplex import (
     ParseError,
     SelfLoop,
@@ -259,3 +264,23 @@ class TestCLI:
             )
             assert code == 0
             assert report["result"]["value"] == report["result"]["oracle_value"]
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # ad_set_parallel imports the pool itself, so a CLI call never pays
+    # for loading multiprocessing.
+    src = str(Path(ghsimplex.__file__).resolve().parents[1])
+    probe = (
+        "import json, sys, ghsimplex.cli; "
+        "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert json.loads(done.stdout) == []

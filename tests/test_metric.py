@@ -58,6 +58,10 @@ class TestValidateMetric:
         with pytest.raises(TypeError):
             validate_metric(["p", "q"], [[0, 0.5], [0.5, 0]])
 
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError):
+            validate_metric(["p", "q"], [[0, True], [True, 0]])
+
     def test_string_entries_parse_exactly(self):
         space = validate_metric(["p", "q"], [["0", "3/2"], ["1.5", "0"]])
         assert space.distance(0, 1) == F(3, 2)
