@@ -1,11 +1,13 @@
-"""The closed-form case table against the brute-force oracle.
+"""The closed-form case table against the partition oracle.
 
 For two-distance spaces the distance to any simplex reduces to a case
 split on m against two graph invariants of the minimal-distance graph:
 k (connected components) and theta (clique covering number).  Every
 value is a maximum of affine functions of lambda, so the whole lambda
 sweep is an exact piecewise-linear curve.  The partition oracle computes
-the same quantity the slow way; the two must and do agree.
+the same quantity on any finite space, from the extreme (separation,
+diameter) pairs of its m-block partitions, found with threshold graphs
+and clique covers; the two must and do agree.
 """
 
 from fractions import Fraction

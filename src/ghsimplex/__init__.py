@@ -6,8 +6,10 @@ The package computes, in exact rational arithmetic:
 * Hausdorff distances between subsets and minimal-distance graphs,
 * the closed-form case table for 2 d_GH(lambda simplex_m, X) on
   two-distance spaces, with piecewise-linear lambda sweeps,
-* a brute-force partition oracle for the same quantity on any finite
-  metric space, used as an independent cross-check,
+* a partition oracle for the same quantity on any finite metric space,
+  used as an independent cross-check: threshold graphs and clique covers
+  find the extreme (separation, diameter) pairs, and brute-force
+  enumeration of the partitions stays as the reference,
 * the generalized Borsuk decision (split into m parts of strictly
   smaller diameter?) with witness partitions,
 * exact clique covering and chromatic numbers, both directly and

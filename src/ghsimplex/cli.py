@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 property
 violation (the closed form and the partition oracle disagreed, which
-would falsify an invariant the library promises).
+would falsify an invariant the library promises), 4 internal error (any
+other failure, such as a RecursionError; reported as JSON like the rest,
+never as a traceback).
 """
 
 from __future__ import annotations
@@ -277,6 +279,14 @@ def run_command(argv: list[str]) -> int:
             }
         )
         return 2
+    except Exception as exc:  # the boundary: every failure becomes a report
+        _emit(
+            {
+                "command": command,
+                "error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"},
+            }
+        )
+        return 4
     report = {
         "command": command,
         "inputs": inputs,

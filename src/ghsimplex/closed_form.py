@@ -21,9 +21,9 @@ m >= theta(G_{<diam X}).  For a two-distance space that graph is G.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -135,23 +135,16 @@ def classify_case_from_params(m: int, n: int, k: int, theta: int) -> GHCaseTag:
     return GHCaseTag.THETA_LE_M_LT_N
 
 
-# theta is the expensive ingredient; lambda sweeps reuse it through this
-# memo.  Reads are lock-free; the lock only serializes first computation,
-# and the exact solvers are deterministic, so any winner writes the same
-# value.
-_K_THETA_MEMO: dict[SimpleGraph, tuple[int, int]] = {}
-_K_THETA_LOCK = threading.Lock()
-
-
+# theta is the expensive ingredient; a lambda sweep asks for it over and
+# over on one graph, so a few recent graphs are all the memo must hold.
+# The exact solvers are deterministic: two threads that both miss compute
+# the same value.
+@lru_cache(maxsize=8)
 def graph_invariants(g: SimpleGraph) -> tuple[int, int]:
     """(number of components, clique covering number), memoized by graph."""
-    got = _K_THETA_MEMO.get(g)
-    if got is None:
-        k, _ = connected_components(g)
-        theta, _ = clique_cover_number(g)
-        with _K_THETA_LOCK:
-            got = _K_THETA_MEMO.setdefault(g, (k, theta))
-    return got
+    k, _ = connected_components(g)
+    theta, _ = clique_cover_number(g)
+    return k, theta
 
 
 def classify_case(tds: TwoDistanceSpace, m: int) -> GHCase:
@@ -179,6 +172,18 @@ def _case_pieces(tag: GHCaseTag, a: Fraction, b: Fraction) -> tuple[tuple[int, F
     return ((-1, b), (1, Fraction(0)))
 
 
+def _case_and_pieces(
+    tds: TwoDistanceSpace, m: int
+) -> tuple[GHCase, tuple[tuple[int, Fraction], ...]]:
+    """The case for m and its affine pieces; they do not depend on lambda,
+    so a sweep computes them once per space and m."""
+    got = tds.cases.get(m)
+    if got is None:
+        case = classify_case(tds, m)
+        got = tds.cases[m] = (case, _case_pieces(case.tag, tds.a, tds.b))
+    return got
+
+
 def gh_two_distance(
     tds: TwoDistanceSpace, m: int, lam: Union[Fraction, int, str]
 ) -> GHValue:
@@ -186,16 +191,18 @@ def gh_two_distance(
     lam = exact(lam, "lambda")
     if lam <= 0:
         raise NonPositiveLambda(lam)
-    case = classify_case(tds, m)
-    pieces = _case_pieces(case.tag, tds.a, tds.b)
-    value = max(slope * lam + intercept for slope, intercept in pieces)
+    case, pieces = _case_and_pieces(tds, m)
+    value = max(
+        intercept if slope == 0 else intercept + lam if slope > 0 else intercept - lam
+        for slope, intercept in pieces
+    )
     return GHValue(value, case)
 
 
 def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
     """Exact lambda sweep of the case formula as a piecewise-linear curve."""
-    case = classify_case(tds, m)
-    pieces = list(dict.fromkeys(_case_pieces(case.tag, tds.a, tds.b)))
+    case, pieces = _case_and_pieces(tds, m)
+    pieces = list(dict.fromkeys(pieces))
     cuts = set()
     for x, (s1, c1) in enumerate(pieces):
         for s2, c2 in pieces[x + 1 :]:

@@ -5,12 +5,18 @@ validated symmetric distance matrix of ``Fraction`` entries.  A
 :class:`TwoDistanceSpace` specializes it to spaces whose off-diagonal
 distances take exactly two values ``a < b``; for those the graph of
 minimal distances drives everything downstream.
+
+A space computes, once and on first use, its sorted distinct distances,
+the matrix of their integer ranks and its :class:`ThresholdTable`; these
+live on the (immutable) space object and are freed with it, so a lambda
+sweep over one space pays for them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -21,8 +27,15 @@ from .errors import (
     NotTwoDistance,
     TriangleViolation,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, clique_cover_number
 from .rationals import exact
+
+
+def _key(value: Fraction) -> tuple[int, int]:
+    """A dict key for an exact value.  Fractions are kept in lowest terms,
+    so equal values give equal keys, and a pair of ints hashes several
+    times faster than a ``Fraction`` does."""
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -41,8 +54,33 @@ class FiniteMetricSpace:
         return self.points.index(point_id)
 
     def off_diagonal_values(self) -> frozenset[Fraction]:
+        return frozenset(self.distances)
+
+    @cached_property
+    def distances(self) -> tuple[Fraction, ...]:
+        """The distinct off-diagonal distances, ascending."""
+        distinct = {_key(d): d for i, row in enumerate(self.dist) for d in row[i + 1 :]}
+        return tuple(sorted(distinct.values()))
+
+    @cached_property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """``dist[i][j]`` as its index in :attr:`distances`; 0 on the diagonal.
+
+        Ranks order pairs exactly as the distances do, so the searches
+        compare plain ints and never touch ``Fraction`` arithmetic.
+        """
         n = self.n
-        return frozenset(self.dist[i][j] for i in range(n) for j in range(i + 1, n))
+        lookup = {_key(v): r for r, v in enumerate(self.distances)}
+        rank = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.dist):
+            for j in range(i + 1, n):
+                rank[i][j] = rank[j][i] = lookup[_key(row[j])]
+        return tuple(map(tuple, rank))
+
+    @cached_property
+    def thresholds(self) -> ThresholdTable:
+        """The threshold-graph structure the partition oracle reads."""
+        return ThresholdTable(self.ranks, len(self.distances))
 
 
 @dataclass(frozen=True)
@@ -58,6 +96,142 @@ class TwoDistanceSpace:
     @property
     def points(self) -> tuple[str, ...]:
         return self.base.points
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        """The minimal-distance graph: edges exactly the pairs at distance ``a``."""
+        n = self.n
+        ranks = self.base.ranks
+        return SimpleGraph(
+            n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ranks[i][j] == 0)
+        )
+
+    @cached_property
+    def cases(self) -> dict:
+        """The closed form's lambda-free data per m (its case and affine
+        pieces), filled on first use by :mod:`ghsimplex.closed_form`."""
+        return {}
+
+
+class ThresholdTable:
+    """The lambda-free structure of one space behind the threshold oracle.
+
+    Write ``v_0 < ... < v_{r-1}`` for the distinct distances and index a
+    separation bound ``at = v_i`` by ``i`` and a diameter bound ``dt = v_j``
+    by ``j``, with ``j = -1`` standing for ``dt = 0``.  An m-block
+    partition with ``alpha >= at`` and ``diam <= dt`` exists iff
+
+    * every component of ``G_{<at}`` (the pairs closer than ``at``) has
+      diameter at most ``dt``;
+    * theta of the compatibility graph on those components is at most m,
+      two components being compatible when every distance between them is
+      at most ``dt``;
+    * m is at most the number of components.
+
+    A partition with ``alpha >= at`` is a partition into unions of those
+    components, and one with ``diam <= dt`` uses only compatible ones; a
+    clique cover of the compatibility graph refines to every block count
+    up to the number of components.  All three conditions only weaken as
+    ``at`` falls or ``dt`` rises, so the feasible bounds form a staircase
+    whose corners are the extreme ``(alpha, diam)`` pairs.  Levels (per
+    ``i``), theta values (per ``(i, j)``) and corners (per m) are computed
+    on first use and kept.
+    """
+
+    def __init__(self, ranks: Sequence[Sequence[int]], r: int) -> None:
+        self._ranks = ranks
+        self._r = r
+        self._levels: dict[int, tuple[int, int, list[list[int]]]] = {}
+        self._theta: dict[tuple[int, int], int] = {}
+        self._corners: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def _level(self, i: int) -> tuple[int, int, list[list[int]]]:
+        """Components of ``G_{<v_i}``: their number, the largest rank inside
+        one (-1 when all are single points) and the largest rank between
+        each pair of them."""
+        got = self._levels.get(i)
+        if got is None:
+            ranks = self._ranks
+            n = len(ranks)
+            label = [-1] * n
+            k = 0
+            for start in range(n):
+                if label[start] != -1:
+                    continue
+                label[start] = k
+                stack = [start]
+                while stack:
+                    u = stack.pop()
+                    row = ranks[u]
+                    for w in range(n):
+                        if label[w] == -1 and row[w] < i:
+                            label[w] = k
+                            stack.append(w)
+                k += 1
+            inner = -1
+            cross = [[-1] * k for _ in range(k)]
+            for u in range(n):
+                cu = label[u]
+                row = ranks[u]
+                for w in range(u + 1, n):
+                    cw = label[w]
+                    rk = row[w]
+                    if cu == cw:
+                        if rk > inner:
+                            inner = rk
+                    elif rk > cross[cu][cw]:
+                        cross[cu][cw] = cross[cw][cu] = rk
+            got = self._levels[i] = (k, inner, cross)
+        return got
+
+    def theta(self, i: int, j: int) -> int:
+        """Clique covering number of the compatibility graph at ``(v_i, v_j)``."""
+        got = self._theta.get((i, j))
+        if got is None:
+            k, _, cross = self._level(i)
+            edges = frozenset(
+                (c, d) for c in range(k) for d in range(c + 1, k) if cross[c][d] <= j
+            )
+            got, _ = clique_cover_number(SimpleGraph(k, edges))
+            self._theta[(i, j)] = got
+        return got
+
+    def feasible(self, i: int, j: int, m: int) -> bool:
+        """Is there an m-block partition with ``alpha >= v_i`` and ``diam <= v_j``?"""
+        k, inner, _ = self._level(i)
+        return m <= k and inner <= j and self.theta(i, j) <= m
+
+    def corners(self, m: int) -> tuple[tuple[int, int], ...]:
+        """The extreme ``(alpha, diam)`` pairs of the m-block partitions as
+        rank pairs, for ``1 <= m <= n``.
+
+        As in the partition scan, diameter rank -1 stands for 0 and
+        separation rank ``n * n`` for the one-block infimum (+infinity).
+        """
+        got = self._corners.get(m)
+        if got is not None:
+            return got
+        n, r = len(self._ranks), self._r
+        if m == 1:
+            got = ((n * n, r - 1),)
+        else:
+            # Two pointers: for each diameter bound, from the smallest up,
+            # push the separation bound as far as it stays feasible.  A
+            # corner is where that largest separation bound rises.
+            out: list[tuple[int, int]] = []
+            i = 0
+            for j in range(-1, r):
+                if not self.feasible(i, j, m):
+                    continue
+                while i + 1 < r and self.feasible(i + 1, j, m):
+                    i += 1
+                if not out or out[-1][0] < i:
+                    out.append((i, j))
+                if i + 1 == r or self._level(i + 1)[0] < m:
+                    break
+            got = tuple(out)
+        self._corners[m] = got
+        return got
 
 
 def validate_metric(
@@ -102,13 +276,8 @@ def validate_metric(
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
     """Largest distance in the space; 0 for a single point."""
-    best = Fraction(0)
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.dist[i][j] > best:
-                best = space.dist[i][j]
-    return best
+    values = space.distances
+    return values[-1] if values else Fraction(0)
 
 
 def as_two_distance(space: FiniteMetricSpace) -> TwoDistanceSpace:
@@ -118,7 +287,7 @@ def as_two_distance(space: FiniteMetricSpace) -> TwoDistanceSpace:
     (n >= 3, diameter = b, minimal-distance graph neither edgeless nor
     complete) holds automatically.
     """
-    values = sorted(space.off_diagonal_values())
+    values = space.distances
     if len(values) != 2:
         raise NotTwoDistance(len(values))
     return TwoDistanceSpace(space, values[0], values[1])
@@ -142,12 +311,7 @@ def hausdorff_distance(
 
 def min_distance_graph(tds: TwoDistanceSpace) -> SimpleGraph:
     """Graph on the points with edges exactly the pairs at the smaller distance."""
-    n = tds.n
-    dist = tds.base.dist
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] == tds.a
-    )
-    return SimpleGraph(n, edges)
+    return tds.graph
 
 
 def two_distance_space_from_graph(
@@ -162,6 +326,7 @@ def two_distance_space_from_graph(
     that breaks the triangle inequality (``b > 2a`` with a non-cluster
     graph) is rejected rather than silently accepted.
     """
+    a, b = exact(a, "a"), exact(b, "b")
     n = g.n
     ids = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
     matrix = [[Fraction(0)] * n for _ in range(n)]

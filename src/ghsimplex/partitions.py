@@ -1,23 +1,32 @@
-"""Exhaustive partition machinery behind the general distance formula.
+"""Partition machinery behind the general distance formula.
 
-For a finite metric space X and 1 <= m <= #X this module enumerates the
-partitions of X into m non-empty blocks, computes for each the pair
-(separation alpha(D), diameter diam D), collects the set of such pairs,
-extracts its non-dominated (extreme) points, and evaluates
+For a finite metric space X and 1 <= m <= #X, every partition D of X
+into m non-empty blocks has a separation alpha(D) and a diameter
+diam D, and
 
     2 d_GH(lambda simplex_m, X)
         = max( diam X - lambda,  min over extreme (alpha, d) of
                max(d, lambda - alpha) )
 
-with the m > #X regime handled by max(diam X - lambda, lambda).
+where the extreme pairs are the non-dominated ones; the m > #X regime
+is max(diam X - lambda, lambda).
 
-Enumeration is in lexicographic restricted-growth-string order and is
-streamed: nothing ever materializes all partitions.  The pair statistics
-are carried incrementally down the recursion, and distances are compared
-through precomputed integer ranks, so the inner loop never touches
-Fraction arithmetic.  A scan may be restricted to the subtree under a
-fixed assignment of the first elements, which is how work is split
-across processes; merged results are identical to a sequential scan.
+:func:`gh_oracle` takes the extreme pairs from the threshold route: an
+m-block partition with alpha >= at and diam <= dt exists iff the
+components of G_{<at} are no wider than dt and the graph of compatible
+components has a small enough clique cover
+(:class:`~ghsimplex.metric.ThresholdTable`).  Those corners depend on
+neither lambda nor the query, so they are kept on the space and a
+lambda sweep pays for them once.
+
+The enumeration route stays as the independent reference:
+:func:`enumerate_partitions` streams the partitions in lexicographic
+restricted-growth-string order, and :func:`ad_set` collects every
+(alpha, diam) pair with the statistics carried incrementally down the
+recursion over integer distance ranks.  A scan may be restricted to the
+subtree under a fixed assignment of the first elements, which is how
+work is split across processes; merged results are identical to a
+sequential scan.  ``gh_oracle(..., full_scan=True)`` takes this route.
 """
 
 from __future__ import annotations
@@ -29,10 +38,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .errors import EmptyInput, InvalidM, NonPositiveLambda
 from .metric import FiniteMetricSpace, diameter
 from .rationals import INF, RationalOrInf, exact
-
-
-class _AbortScan(Exception):
-    """Internal: the running minimum hit its theoretical floor."""
 
 
 class Partition(NamedTuple):
@@ -81,29 +86,62 @@ def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
         raise ValueError("n must be at least 1")
     if m < 1 or m > n:
         raise InvalidM(m, n)
+    return _restricted_growth(n, m)
+
+
+def _restricted_growth(n: int, m: int) -> Iterator[Partition]:
+    """Iterative successor loop (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H)
+    over the strings with exactly m distinct values.
+
+    ``assign[p]`` is the block of element p and ``used[p]`` the number of
+    blocks among elements 0..p.  Blocks are kept as lists; the elements a
+    step changes are always the largest ones, so they sit at the ends.
+    """
     assign = [0] * n
-
-    def build() -> Partition:
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        for j in range(n):
-            blocks[assign[j]].append(j)
-        return Partition(tuple(tuple(b) for b in blocks))
-
-    def rec(i: int, used: int) -> Iterator[Partition]:
-        if i == n:
-            yield build()
+    used = [1] * n
+    blocks: list[list[int]] = [[0]] + [[] for _ in range(m - 1)]
+    start, c = 1, 1
+    last = n - 1
+    while True:
+        # Smallest completion: join block 0 while the remaining elements
+        # can still open the missing blocks, else open the next one.
+        for p in range(start, n):
+            if c + (n - p - 1) >= m:
+                v = 0
+            else:
+                v = c
+                c += 1
+            assign[p] = v
+            used[p] = c
+            blocks[v].append(p)
+        yield Partition(tuple(map(tuple, blocks)))
+        if last:
+            # The last element runs through its remaining blocks first.
+            v = assign[last]
+            top = min(used[last - 1], m - 1)
+            while v < top:
+                blocks[v].pop()
+                v += 1
+                blocks[v].append(last)
+                yield Partition(tuple(map(tuple, blocks)))
+            assign[last] = v
+        # The rightmost element that can move to the next block.  A valid
+        # string can always be completed after such a move.
+        p = last
+        while p > 0:
+            v = assign[p]
+            blocks[v].pop()
+            if v < used[p - 1] and v + 1 < m:
+                break
+            p -= 1
+        else:
             return
-        # Joining keeps `used` blocks; the remaining n-i-1 elements must
-        # still be able to open the m-used missing ones.
-        if used + (n - i - 1) >= m:
-            for v in range(used):
-                assign[i] = v
-                yield from rec(i + 1, used)
-        if used < m:
-            assign[i] = used
-            yield from rec(i + 1, used + 1)
-
-    return rec(1, 1) if n > 1 else iter([Partition(((0,),))])
+        v += 1
+        c = max(used[p - 1], v + 1)
+        assign[p] = v
+        used[p] = c
+        blocks[v].append(p)
+        start = p + 1
 
 
 def _check_partition(part: Partition, n: int) -> None:
@@ -140,18 +178,6 @@ def partition_alpha(space: FiniteMetricSpace, part: Partition) -> RationalOrInf:
                 best = dist[i][j]
     assert best is not None
     return best
-
-
-def _rank_matrix(space: FiniteMetricSpace) -> tuple[list[Fraction], list[list[int]]]:
-    """Distinct off-diagonal values sorted ascending, and the matrix of their indices."""
-    n = space.n
-    values = sorted(space.off_diagonal_values())
-    lookup = {v: r for r, v in enumerate(values)}
-    rank = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rank[i][j] = rank[j][i] = lookup[space.dist[i][j]]
-    return values, rank
 
 
 def _prefix_state(
@@ -283,9 +309,8 @@ def ad_set(
     n = space.n
     if m < 1 or m > n:
         raise InvalidM(m, n)
-    values, rank = _rank_matrix(space)
-    pairs = _scan_pairs(rank, n, m, prefix)
-    return _pairs_to_points(pairs, values, n * n)
+    pairs = _scan_pairs(space.ranks, n, m, prefix)
+    return _pairs_to_points(pairs, space.distances, n * n)
 
 
 def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
@@ -316,8 +341,7 @@ def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
 def _ad_pairs_for_prefix(
     space: FiniteMetricSpace, m: int, prefix: tuple[int, ...]
 ) -> frozenset[tuple[int, int]]:
-    values, rank = _rank_matrix(space)
-    return frozenset(_scan_pairs(rank, space.n, m, prefix))
+    return frozenset(_scan_pairs(space.ranks, space.n, m, prefix))
 
 
 def ad_set_parallel(
@@ -331,7 +355,6 @@ def ad_set_parallel(
     if m < 1 or m > n:
         raise InvalidM(m, n)
     prefixes = scan_prefixes(n, m, prefix_depth)
-    values, _ = _rank_matrix(space)
     pairs: set[tuple[int, int]] = set()
     worker = partial(_ad_pairs_for_prefix, space, m)
     if max_workers is not None and max_workers <= 1:
@@ -345,7 +368,7 @@ def ad_set_parallel(
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             for chunk in pool.map(worker, prefixes, chunksize=max(1, len(prefixes) // 16)):
                 pairs |= chunk
-    return _pairs_to_points(pairs, values, n * n)
+    return _pairs_to_points(pairs, space.distances, n * n)
 
 
 def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:
@@ -369,101 +392,6 @@ def h_value(point: ADPoint, lam: Fraction) -> Fraction:
     return max(point.d, lam - point.alpha)
 
 
-def _min_h_scan(space: FiniteMetricSpace, m: int, lam: Fraction) -> Fraction:
-    """Branch-and-bound minimum of h over all m-block partitions.
-
-    Both statistics move one way as elements are assigned (diameter can
-    only grow, separation only shrink), so h never decreases along a
-    branch; a branch at or above the incumbent is cut, and the whole scan
-    stops once the incumbent reaches the theoretical floor
-    max(0, lambda - largest distance).
-    """
-    n = space.n
-    values, rank = _rank_matrix(space)
-    big = n * n
-    zero = Fraction(0)
-    floor = max(zero, lam - values[-1]) if values else zero
-
-    h_cache: dict[tuple[int, int], Fraction] = {}
-
-    def h_of(a_cur: int, d_cur: int) -> Fraction:
-        key = (a_cur, d_cur)
-        got = h_cache.get(key)
-        if got is None:
-            dval = zero if d_cur < 0 else values[d_cur]
-            got = dval if a_cur >= big else max(dval, lam - values[a_cur])
-            h_cache[key] = got
-        return got
-
-    # Incumbent starts above every achievable h; only real leaves lower it.
-    best: list[RationalOrInf] = [INF]
-
-    assign = [0] * n
-    if n == 1:
-        return zero
-
-    def rec(i: int, used: int, d_cur: int, a_cur: int) -> None:
-        row = rank[i]
-        bmax = [0] * used
-        bmin = [big] * used
-        for j in range(i):
-            v = assign[j]
-            r = row[j]
-            if r > bmax[v]:
-                bmax[v] = r
-            if r < bmin[v]:
-                bmin[v] = r
-        m1 = big
-        m2 = big
-        arg1 = -1
-        for v in range(used):
-            bv = bmin[v]
-            if bv < m1:
-                m2 = m1
-                m1 = bv
-                arg1 = v
-            elif bv < m2:
-                m2 = bv
-        can_join = used + (n - i - 1) >= m
-        last = i == n - 1
-        if can_join:
-            for v in range(used):
-                d2 = bmax[v]
-                if d2 < d_cur:
-                    d2 = d_cur
-                oth = m2 if v == arg1 else m1
-                a2 = oth if oth < a_cur else a_cur
-                h2 = h_of(a2, d2)
-                if h2 >= best[0]:
-                    continue
-                if last:
-                    best[0] = h2
-                    if h2 <= floor:
-                        raise _AbortScan
-                else:
-                    assign[i] = v
-                    rec(i + 1, used, d2, a2)
-        if used < m:
-            a2 = m1 if m1 < a_cur else a_cur
-            h2 = h_of(a2, d_cur)
-            if h2 < best[0]:
-                if last:
-                    best[0] = h2
-                    if h2 <= floor:
-                        raise _AbortScan
-                else:
-                    assign[i] = used
-                    rec(i + 1, used + 1, d_cur, a2)
-
-    try:
-        rec(1, 1, -1, big)
-    except _AbortScan:
-        pass
-    result = best[0]
-    assert isinstance(result, Fraction)
-    return result
-
-
 def gh_oracle(
     space: FiniteMetricSpace,
     m: int,
@@ -471,10 +399,13 @@ def gh_oracle(
     full_scan: bool = False,
 ) -> Fraction:
     """Twice the Gromov-Hausdorff distance from the m-point simplex with
-    side ``lam`` to ``space``, by exhaustive partition scan.
+    side ``lam`` to ``space``, minimized over the extreme (alpha, diam)
+    pairs of its m-block partitions.
 
-    ``full_scan=True`` disables the branch-and-bound early exit and
-    minimizes over the complete pair set instead; both modes return the
+    The pairs are the corners of the space's threshold table, computed by
+    clique-cover calls on the first query for each m and kept on the
+    space.  ``full_scan=True`` takes them from the enumeration of every
+    m-block partition (:func:`ad_set`) instead; both routes return the
     same value.
     """
     lam = exact(lam, "lambda")
@@ -486,7 +417,7 @@ def gh_oracle(
     if m > space.n:
         return max(diam - lam, lam)
     if full_scan:
-        best = min(h_value(p, lam) for p in ad_set(space, m))
+        points = ad_set(space, m)
     else:
-        best = _min_h_scan(space, m, lam)
-    return max(diam - lam, best)
+        points = _pairs_to_points(space.thresholds.corners(m), space.distances, space.n**2)
+    return max(diam - lam, min(h_value(p, lam) for p in points))

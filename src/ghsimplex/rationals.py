@@ -29,6 +29,8 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
     exact-equality contract every downstream formula relies on.  ``bool``
     is an ``int`` subclass but never a meaningful number here.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise TypeError(f"{what} must be exact (int, str or Fraction)")
     return Fraction(value)

@@ -49,6 +49,14 @@ def _report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {text}", flush=True)
 
 
+def _corner_points(space, m: int) -> frozenset:
+    """The threshold oracle's cached corners as (alpha, diam) values."""
+    values = space.distances
+    return frozenset(
+        ADPoint(values[a], F(0) if d < 0 else values[d]) for a, d in space.thresholds.corners(m)
+    )
+
+
 def _lambda_grid(a: F, b: F) -> list[F]:
     grid = {a / 2, a, (a + b) / 2, 2 * a, b, 3 * b / 2, b + a, 3 * b}
     if b - a > 0:
@@ -139,6 +147,7 @@ def test_criterion_4_extreme_set_shapes():
         for m in range(2, tds.n):
             ad = ad_set(tds.base, m)
             ext = extreme_points(ad)
+            assert _corner_points(tds.base, m) == ext
             if ext in allowed:
                 shapes_seen.add(allowed.index(ext))
             else:
@@ -148,7 +157,11 @@ def test_criterion_4_extreme_set_shapes():
                 assert ext == frozenset({ADPoint(b, a)})
             instances += 1
     assert shapes_seen >= {0, 4}
-    _report(4, f"every extreme set over {instances} (space, m) pairs is one of the five shapes")
+    _report(
+        4,
+        f"every extreme set over {instances} (space, m) pairs is one of the five shapes "
+        "and equals the threshold oracle's corners",
+    )
 
 
 def test_criterion_5_per_partition_diameter_and_separation():

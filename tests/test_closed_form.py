@@ -139,6 +139,18 @@ class TestTwoDistanceFormula:
             )
         assert all(v == expected for v in results)
 
+    def test_memo_stays_within_its_bound(self):
+        bound = graph_invariants.cache_info().maxsize
+        rng = random.Random(37)
+        seen = set()
+        while len(seen) < 3 * bound:
+            g = random_usable_graph(rng, 7)
+            seen.add(g)
+            k, theta = graph_invariants(g)
+            assert theta == clique_cover_direct(g)[0]
+            assert graph_invariants.cache_info().currsize <= bound
+        assert graph_invariants.cache_info().currsize == bound
+
 
 class TestCurve:
     def test_e1_m2_segments(self, e1_tds):

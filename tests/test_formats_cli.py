@@ -239,6 +239,23 @@ class TestCLI:
         assert code == 3
         assert report["error"]["type"] == "PropertyViolation"
 
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("too deep")])
+    def test_unexpected_failure_exits_4(self, capsys, e1_file, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("ghsimplex.cli.gh_oracle", broken)
+        code, report = _run(
+            capsys,
+            ["ghdist", "--space", e1_file, "--m", "2", "--lambda", "1", "--method", "oracle"],
+        )
+        assert code == 4
+        assert report["command"] == "ghdist"
+        assert report["error"] == {
+            "type": "internal",
+            "message": f"{type(error).__name__}: {error}",
+        }
+
     def test_output_deterministic_modulo_timing(self, capsys, e1_file):
         argv = ["ghdist", "--space", e1_file, "--m", "3", "--lambda", "2"]
         _, first = _run(capsys, argv)

@@ -11,10 +11,12 @@ from ghsimplex import (
     NotTwoDistance,
     TriangleViolation,
     as_two_distance,
+    cycle_graph,
     diameter,
     hausdorff_distance,
     is_cluster_graph,
     min_distance_graph,
+    two_distance_space_from_graph,
     validate_metric,
 )
 from conftest import random_metric_space, random_two_distance, all_graphs
@@ -61,6 +63,11 @@ class TestValidateMetric:
     def test_bools_rejected(self):
         with pytest.raises(TypeError):
             validate_metric(["p", "q"], [[0, True], [True, 0]])
+
+    @pytest.mark.parametrize("a, b, name", [(0.5, 1, "a"), (F(1), 1.5, "b"), (1, True, "b")])
+    def test_graph_space_names_the_inexact_parameter(self, a, b, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be exact"):
+            two_distance_space_from_graph(cycle_graph(5), a, b)
 
     def test_string_entries_parse_exactly(self):
         space = validate_metric(["p", "q"], [["0", "3/2"], ["1.5", "0"]])

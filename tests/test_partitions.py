@@ -17,6 +17,7 @@ from ghsimplex import (
     enumerate_partitions,
     extreme_points,
     gh_oracle,
+    gh_two_distance,
     h_value,
     is_clique,
     min_distance_graph,
@@ -24,6 +25,7 @@ from ghsimplex import (
     partition_diameter,
     partition_from_blocks,
     scan_prefixes,
+    validate_metric,
 )
 from conftest import (
     random_metric_space,
@@ -303,3 +305,97 @@ class TestGHOracle:
     def test_invalid_m(self, e1_space):
         with pytest.raises(InvalidM):
             gh_oracle(e1_space, 0, 1)
+
+
+def _corner_points(space, m):
+    """The threshold table's corners as (alpha, diam) values."""
+    values = space.distances
+    return frozenset(
+        ADPoint(INF if a >= space.n**2 else values[a], F(0) if d < 0 else values[d])
+        for a, d in space.thresholds.corners(m)
+    )
+
+
+def _permuted(space, order):
+    return validate_metric(
+        [space.points[i] for i in order],
+        [[space.dist[i][j] for j in order] for i in order],
+    )
+
+
+class TestThresholdRoute:
+    """The threshold oracle against the enumeration route on general spaces."""
+
+    LAMBDAS = (F(1, 2), F(1), F(3, 2), F(2), F(7, 2))
+
+    @pytest.mark.parametrize("denominator", [2, 10])
+    def test_equals_full_scan_and_extreme_set(self, denominator):
+        rng = random.Random(31 + denominator)
+        for n in range(1, 9):
+            for _ in range(6):
+                space = random_metric_space(rng, n, denominator)
+                for m in range(1, n + 2):
+                    if m <= n:
+                        assert _corner_points(space, m) == extreme_points(ad_set(space, m))
+                    for lam in self.LAMBDAS:
+                        assert gh_oracle(space, m, lam) == gh_oracle(
+                            space, m, lam, full_scan=True
+                        ), (space.dist, m, lam)
+
+    def test_point_order_does_not_matter(self):
+        rng = random.Random(33)
+        for denominator in (2, 10):
+            for _ in range(10):
+                space = random_metric_space(rng, rng.randint(2, 9), denominator)
+                order = list(range(space.n))
+                rng.shuffle(order)
+                other = _permuted(space, order)
+                for m in range(1, space.n + 2):
+                    for lam in self.LAMBDAS:
+                        assert gh_oracle(space, m, lam) == gh_oracle(other, m, lam)
+
+    def test_scaling_scales_the_value(self):
+        rng = random.Random(34)
+        for c in (F(2), F(1, 3), F(7, 5)):
+            for _ in range(8):
+                space = random_metric_space(rng, rng.randint(2, 9), 2)
+                scaled = validate_metric(
+                    space.points, [[c * d for d in row] for row in space.dist]
+                )
+                for m in range(1, space.n + 2):
+                    for lam in self.LAMBDAS:
+                        assert gh_oracle(scaled, m, c * lam) == c * gh_oracle(space, m, lam)
+
+    def test_matches_the_closed_form_beyond_enumeration(self):
+        """n = 14..20 two-distance spaces: far too many partitions to
+        enumerate, so the closed form is the reference here."""
+        rng = random.Random(35)
+        for _ in range(6):
+            tds = random_two_distance(rng, 14, 20)
+            for m in range(1, tds.n + 2):
+                for lam in (tds.a / 2, tds.a, (tds.a + tds.b) / 2, tds.b, 2 * tds.b):
+                    assert gh_oracle(tds.base, m, lam) == gh_two_distance(tds, m, lam).value
+
+    def test_lambda_sweep_reuses_the_space_cache(self, monkeypatch):
+        import ghsimplex.metric as metric
+
+        calls = []
+        real = metric.clique_cover_number
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(metric, "clique_cover_number", counting)
+        space = random_metric_space(random.Random(36), 8, 2)
+        first = [gh_oracle(space, m, lam) for m in range(1, 9) for lam in self.LAMBDAS]
+        paid = len(calls)
+        assert paid > 0
+        again = [gh_oracle(space, m, lam) for m in range(1, 9) for lam in (F(9, 4), F(1, 7))]
+        again += [gh_oracle(space, m, lam) for m in range(1, 9) for lam in self.LAMBDAS]
+        assert len(calls) == paid
+        assert again[-len(first):] == first
+        # An equal but separate space object starts with its own cache.
+        copy = validate_metric(space.points, space.dist)
+        assert [gh_oracle(copy, m, lam) for m in range(1, 9) for lam in self.LAMBDAS] == first
+        assert len(calls) == 2 * paid
