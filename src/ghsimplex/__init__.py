@@ -78,6 +78,7 @@ from .graphs import (
     petersen_graph,
 )
 from .metric import (
+    ADPoint,
     FiniteMetricSpace,
     TwoDistanceSpace,
     as_two_distance,
@@ -88,7 +89,6 @@ from .metric import (
     validate_metric,
 )
 from .partitions import (
-    ADPoint,
     Partition,
     ad_set,
     ad_set_parallel,

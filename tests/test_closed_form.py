@@ -24,6 +24,7 @@ from ghsimplex import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    diameter,
     empty_graph,
     gh_curve,
     gh_oracle,
@@ -36,7 +37,12 @@ from ghsimplex import (
     two_distance_space_from_graph,
     validate_metric,
 )
-from conftest import random_two_distance, random_usable_graph, random_metric_space
+from conftest import (
+    random_cluster_two_distance,
+    random_metric_space,
+    random_two_distance,
+    random_usable_graph,
+)
 
 TWO_EDGES_GRAPH_EDGES = [(0, 1), (2, 3)]
 
@@ -150,6 +156,48 @@ class TestTwoDistanceFormula:
             assert theta == clique_cover_direct(g)[0]
             assert graph_invariants.cache_info().currsize <= bound
         assert graph_invariants.cache_info().currsize == bound
+
+
+def _assert_within_diameter_bounds(value, space, m, lam):
+    diam = diameter(space)
+    if m == 1:
+        assert value == diam
+    else:
+        assert abs(diam - lam) <= value <= max(diam, lam), (space.dist, m, lam)
+
+
+def _bound_lambdas(space):
+    lams = {F(1, 7), 2 * diameter(space) + 1}
+    for d in space.distances:
+        lams |= {d / 2, d, 3 * d / 2, 3 * d}
+    return sorted(lams)
+
+
+class TestDiameterBounds:
+    """|diam X - lambda| <= 2 d_GH <= max(diam X, lambda) for m >= 2, and
+    2 d_GH = diam X for the one-point simplex, on both routes."""
+
+    @pytest.mark.parametrize("denominator", [2, 10])
+    def test_oracle_on_general_spaces(self, denominator):
+        rng = random.Random(47 + denominator)
+        for n in range(1, 10):
+            for _ in range(8):
+                space = random_metric_space(rng, n, denominator)
+                for m in range(1, n + 2):
+                    for lam in _bound_lambdas(space):
+                        _assert_within_diameter_bounds(gh_oracle(space, m, lam), space, m, lam)
+
+    @pytest.mark.parametrize("generator", [random_two_distance, random_cluster_two_distance])
+    def test_both_routes_on_two_distance_spaces(self, generator):
+        rng = random.Random(49)
+        for _ in range(20):
+            tds = generator(rng, 4, 12)
+            space = tds.base
+            for m in range(1, tds.n + 2):
+                for lam in _bound_lambdas(space):
+                    closed = gh_two_distance(tds, m, lam).value
+                    _assert_within_diameter_bounds(closed, space, m, lam)
+                    assert gh_oracle(space, m, lam) == closed
 
 
 class TestCurve:
@@ -292,6 +340,29 @@ class TestBorsuk:
             borsuk_feasible(e1_space, 0)
         with pytest.raises(InvalidM):
             borsuk_feasible(e1_space, 5)
+
+    def test_decisions_share_one_cover_per_space(self, monkeypatch):
+        import ghsimplex.closed_form as closed_form
+        import ghsimplex.metric as metric
+
+        calls = []
+        real = metric.clique_cover_number
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(metric, "clique_cover_number", counting)
+        monkeypatch.setattr(closed_form, "clique_cover_number", counting)
+        space = random_metric_space(random.Random(46), 8, 2)
+        first = [borsuk_feasible(space, m) for m in range(1, 9)]
+        assert len(calls) == 1
+        assert [borsuk_feasible(space, m) for m in range(1, 9)] == first
+        assert len(calls) == 1
+        # An equal but separate space object pays for its own cover.
+        copy = validate_metric(space.points, space.dist)
+        assert [borsuk_feasible(copy, m) for m in range(1, 9)] == first
+        assert len(calls) == 2
 
     def test_duality_matches_theta_and_oracle(self):
         rng = random.Random(45)

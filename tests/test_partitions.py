@@ -28,6 +28,7 @@ from ghsimplex import (
     validate_metric,
 )
 from conftest import (
+    enumerated_oracle,
     random_metric_space,
     random_two_distance,
     stirling2,
@@ -286,13 +287,13 @@ class TestGHOracle:
             expected = max(diameter(space) - lam, lam - smallest)
             assert gh_oracle(space, space.n, lam) == expected
 
-    def test_full_scan_equals_early_exit(self):
+    def test_equals_enumeration(self):
         rng = random.Random(30)
         for _ in range(12):
             space = random_metric_space(rng, rng.randint(2, 8))
             m = rng.randint(1, space.n + 2)
             lam = F(rng.randint(1, 60), 10)
-            assert gh_oracle(space, m, lam) == gh_oracle(space, m, lam, full_scan=True)
+            assert gh_oracle(space, m, lam) == enumerated_oracle(space, m, lam)
 
     def test_lambda_must_be_positive(self, e1_space):
         with pytest.raises(NonPositiveLambda):
@@ -305,15 +306,6 @@ class TestGHOracle:
     def test_invalid_m(self, e1_space):
         with pytest.raises(InvalidM):
             gh_oracle(e1_space, 0, 1)
-
-
-def _corner_points(space, m):
-    """The threshold table's corners as (alpha, diam) values."""
-    values = space.distances
-    return frozenset(
-        ADPoint(INF if a >= space.n**2 else values[a], F(0) if d < 0 else values[d])
-        for a, d in space.thresholds.corners(m)
-    )
 
 
 def _permuted(space, order):
@@ -329,17 +321,17 @@ class TestThresholdRoute:
     LAMBDAS = (F(1, 2), F(1), F(3, 2), F(2), F(7, 2))
 
     @pytest.mark.parametrize("denominator", [2, 10])
-    def test_equals_full_scan_and_extreme_set(self, denominator):
+    def test_equals_enumeration_and_extreme_set(self, denominator):
         rng = random.Random(31 + denominator)
         for n in range(1, 9):
             for _ in range(6):
                 space = random_metric_space(rng, n, denominator)
                 for m in range(1, n + 2):
                     if m <= n:
-                        assert _corner_points(space, m) == extreme_points(ad_set(space, m))
+                        assert space.thresholds.corners(m) == extreme_points(ad_set(space, m))
                     for lam in self.LAMBDAS:
-                        assert gh_oracle(space, m, lam) == gh_oracle(
-                            space, m, lam, full_scan=True
+                        assert gh_oracle(space, m, lam) == enumerated_oracle(
+                            space, m, lam
                         ), (space.dist, m, lam)
 
     def test_point_order_does_not_matter(self):
