@@ -109,4 +109,13 @@ class ParseError(GHError):
 
 
 class NodeLimitExceeded(GHError):
-    """An exact search hit its optional node budget before finishing."""
+    """An exact search hit its optional node budget before finishing.
+
+    ``limit`` is the budget and ``nodes`` the branching decisions the
+    search had made when it stopped.
+    """
+
+    def __init__(self, limit: int, nodes: int):
+        self.limit = limit
+        self.nodes = nodes
+        super().__init__(f"exceeded node limit {limit} after {nodes} nodes")

@@ -258,7 +258,7 @@ def chromatic_number(
             return
         if node_limit is not None:
             if nodes >= node_limit:
-                raise NodeLimitExceeded(f"exceeded node limit {node_limit}")
+                raise NodeLimitExceeded(node_limit, nodes)
             nodes += 1
         v = -1
         v_key = (-1, -1, 1)
@@ -348,7 +348,7 @@ def clique_cover_direct(
                 return
             if node_limit is not None:
                 if nodes >= node_limit:
-                    raise NodeLimitExceeded(f"exceeded node limit {node_limit}")
+                    raise NodeLimitExceeded(node_limit, nodes)
                 nodes += 1
             av = adj[v]
             bit = 1 << v

@@ -1,7 +1,9 @@
 """Finite metric spaces with exact rational distances.
 
 A :class:`FiniteMetricSpace` is an ordered list of opaque point ids plus a
-validated symmetric distance matrix of ``Fraction`` entries.  A
+validated symmetric distance matrix of ``Fraction`` entries.
+:func:`validate_metric` checks the axioms on that matrix scaled by the
+least common multiple of its denominators, in plain int arithmetic.  A
 :class:`TwoDistanceSpace` specializes it to spaces whose off-diagonal
 distances take exactly two values ``a < b``; for those the graph of
 minimal distances drives everything downstream.
@@ -15,9 +17,11 @@ space pay for them once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -251,6 +255,10 @@ def validate_metric(
 ) -> FiniteMetricSpace:
     """Check every metric axiom and return the validated space.
 
+    The axioms are checked on one int matrix, each entry times the least
+    common multiple of all denominators, so every sum and comparison is
+    exact int arithmetic; the space keeps the ``Fraction`` entries.
+
     Raises :class:`NonZeroDiagonal`, :class:`Asymmetric`,
     :class:`NonPositiveOffDiagonal` or :class:`TriangleViolation`, each
     naming the offending indices.
@@ -268,21 +276,28 @@ def validate_metric(
         tuple(exact(matrix[i][j], f"dist[{i}][{j}]") for j in range(n))
         for i in range(n)
     )
+    scale = math.lcm(*{d.denominator for row in dist for d in row})
+    ints = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
     for i in range(n):
-        if dist[i][i] != 0:
+        if ints[i][i] != 0:
             raise NonZeroDiagonal(i)
     for i in range(n):
+        row = ints[i]
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
+            if row[j] != ints[j][i]:
                 raise Asymmetric(i, j)
-            if dist[i][j] <= 0:
+            if row[j] <= 0:
                 raise NonPositiveOffDiagonal(i, j)
+    # With a zero diagonal and symmetry, the terms k = i and k = j of
+    # min_k (d_ik + d_jk) are d_ij itself, so the minimum over every k is
+    # below d_ij exactly when some third point breaks the inequality.
     for i in range(n):
+        row_i = ints[i]
         for j in range(i + 1, n):
-            bound = dist[i][j]
-            for k in range(n):
-                if k != i and k != j and bound > dist[i][k] + dist[k][j]:
-                    raise TriangleViolation(i, j, k)
+            bound, row_j = row_i[j], ints[j]
+            if bound > min(map(add, row_i, row_j)):
+                k = next(k for k in range(n) if bound > row_i[k] + row_j[k])
+                raise TriangleViolation(i, j, k)
     return FiniteMetricSpace(ids, dist)
 
 

@@ -151,8 +151,11 @@ class TestChromaticNumber:
 
     def test_node_limit_aborts(self):
         g = complement(petersen_graph())
-        with pytest.raises(NodeLimitExceeded):
-            chromatic_number(g, node_limit=1)
+        for limit in (1, 3):
+            with pytest.raises(NodeLimitExceeded) as err:
+                chromatic_number(g, node_limit=limit)
+            assert (err.value.limit, err.value.nodes) == (limit, limit)
+            assert str(err.value) == f"exceeded node limit {limit} after {limit} nodes"
 
 
 class TestCliqueCover:
@@ -198,8 +201,11 @@ class TestCliqueCover:
             assert cover_is_valid(g, c1) and cover_is_valid(g, c2)
 
     def test_node_limit_aborts(self):
-        with pytest.raises(NodeLimitExceeded):
-            clique_cover_direct(petersen_graph(), node_limit=1)
+        for limit in (1, 3):
+            with pytest.raises(NodeLimitExceeded) as err:
+                clique_cover_direct(petersen_graph(), node_limit=limit)
+            assert (err.value.limit, err.value.nodes) == (limit, limit)
+            assert str(err.value) == f"exceeded node limit {limit} after {limit} nodes"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -6,6 +6,8 @@ import pytest
 from ghsimplex import (
     Asymmetric,
     EmptySubset,
+    FiniteMetricSpace,
+    MetricError,
     NonPositiveOffDiagonal,
     NonZeroDiagonal,
     NotTwoDistance,
@@ -19,7 +21,13 @@ from ghsimplex import (
     two_distance_space_from_graph,
     validate_metric,
 )
-from conftest import random_metric_space, random_two_distance, all_graphs
+from ghsimplex.rationals import exact
+from conftest import (
+    all_graphs,
+    random_metric_space,
+    random_two_distance,
+    random_usable_graph,
+)
 
 
 class TestValidateMetric:
@@ -210,3 +218,187 @@ def test_realizability_iff_cluster_or_small_gap(n):
         else:
             with pytest.raises(TriangleViolation):
                 validate_metric(ids, wide)
+
+
+def _reference_validate(points, matrix):
+    """The plain ``Fraction`` triple loop: the reference that
+    ``validate_metric``'s int check is held to."""
+    ids = tuple(str(p) for p in points)
+    n = len(ids)
+    dist = tuple(
+        tuple(exact(matrix[i][j], f"dist[{i}][{j}]") for j in range(n))
+        for i in range(n)
+    )
+    for i in range(n):
+        if dist[i][i] != 0:
+            raise NonZeroDiagonal(i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i][j] != dist[j][i]:
+                raise Asymmetric(i, j)
+            if dist[i][j] <= 0:
+                raise NonPositiveOffDiagonal(i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k != i and k != j and dist[i][j] > dist[i][k] + dist[k][j]:
+                    raise TriangleViolation(i, j, k)
+    return FiniteMetricSpace(ids, dist)
+
+
+def _outcome(validate, matrix):
+    """The space ``validate`` returns, or the class and attributes
+    (``indices`` or ``index``) of the metric error it raises."""
+    try:
+        return validate([f"p{i}" for i in range(len(matrix))], matrix)
+    except MetricError as exc:
+        return type(exc), vars(exc)
+
+
+def _assert_same_as_reference(matrix):
+    got = _outcome(validate_metric, matrix)
+    assert got == _outcome(_reference_validate, matrix)
+    return got
+
+
+def _set(matrix, i, j, value):
+    matrix[i][j] = matrix[j][i] = value
+
+
+def _tightest(matrix, i, j):
+    """min over third points k of d(i, k) + d(k, j)."""
+    return min(matrix[i][k] + matrix[k][j] for k in range(len(matrix)) if k not in (i, j))
+
+
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _coprime_matrix(rng, n):
+    """A metric with entries in [1, 2] on pairwise-coprime denominators."""
+    matrix = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice(PRIMES)
+            _set(matrix, i, j, F(rng.randint(q, 2 * q), q))
+    return matrix
+
+
+class TestIntCheckMatchesReference:
+    """``validate_metric`` against the ``Fraction`` triple loop: equal
+    spaces on accepted matrices, and the same error class and indices on
+    rejected ones, whichever axioms a matrix breaks."""
+
+    @pytest.mark.parametrize("denominator", [2, 10])
+    def test_random_spaces_with_one_broken_entry(self, denominator):
+        rng = random.Random(500 + denominator)
+        step = F(1, denominator)
+        kinds = set()
+        for n in range(2, 10):
+            for _ in range(12):
+                base = [list(row) for row in random_metric_space(rng, n, denominator).dist]
+                assert isinstance(_assert_same_as_reference(base), FiniteMetricSpace)
+                i, j = sorted(rng.sample(range(n), 2))
+                variants = [F(0), -rng.randint(1, 3) * step]
+                if n >= 3:
+                    variants += [_tightest(base, i, j), _tightest(base, i, j) + step]
+                for value in variants:
+                    matrix = [row[:] for row in base]
+                    _set(matrix, i, j, value)
+                    got = _assert_same_as_reference(matrix)
+                    kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        assert kinds == {"ok", NonPositiveOffDiagonal, TriangleViolation}
+
+    def test_asymmetric_precedence(self):
+        rng = random.Random(31)
+        fixed = [
+            # asymmetric at (1, 2) and a triangle violation at (0, 2)
+            [[0, 1, 5], [1, 0, 1], [5, 2, 0]],
+            # nonpositive at (0, 1) precedes asymmetric at (0, 2)
+            [[0, 0, 1], [0, 0, 1], [2, 1, 0]],
+            # asymmetric at (0, 1) precedes nonpositive at (1, 2)
+            [[0, 1, 1], [2, 0, -1], [1, -1, 0]],
+            # a nonzero diagonal at the last point precedes all of those
+            [[0, 1, 5], [2, 0, 0], [5, 0, 1]],
+        ]
+        for matrix in fixed:
+            _assert_same_as_reference(matrix)
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            matrix = [list(row) for row in random_metric_space(rng, n).dist]
+            i, j = sorted(rng.sample(range(n), 2))
+            u, v = sorted(rng.sample(range(n), 2))
+            _set(matrix, u, v, _tightest(matrix, u, v) + F(1, 10))
+            matrix[i][j] += F(rng.choice([-1, 1]), 10)
+            assert _assert_same_as_reference(matrix)[0] is Asymmetric
+
+    def test_coprime_denominators(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            matrix = _coprime_matrix(rng, n)
+            assert isinstance(_assert_same_as_reference(matrix), FiniteMetricSpace)
+            i, j = sorted(rng.sample(range(n), 2))
+            tight = _tightest(matrix, i, j)
+            _set(matrix, i, j, tight)
+            assert isinstance(_assert_same_as_reference(matrix), FiniteMetricSpace)
+            _set(matrix, i, j, tight + F(1, 53 * 59))
+            assert _assert_same_as_reference(matrix)[0] is TriangleViolation
+
+    def test_str_and_int_entries(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(3, 8)
+            matrix = [list(row) for row in random_metric_space(rng, n).dist]
+            if rng.random() < 0.5:
+                i, j = sorted(rng.sample(range(n), 2))
+                _set(matrix, i, j, _tightest(matrix, i, j) + F(1, 10))
+            as_int = [[int(10 * d) for d in row] for row in matrix]
+            as_str = [
+                [str(d) if rng.random() < 0.5 else f"{t // 10}.{t % 10}" for d, t in zip(row, ints)]
+                for row, ints in zip(matrix, as_int)
+            ]
+            assert _assert_same_as_reference(as_str) == _assert_same_as_reference(matrix)
+            _assert_same_as_reference(as_int)
+
+    def test_collinear_triple_is_accepted(self):
+        for matrix in (
+            [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+            [[0, F(1, 3), F(5, 6)], [F(1, 3), 0, F(1, 2)], [F(5, 6), F(1, 2), 0]],
+            [["0", "1/7", "8/77"], ["1/7", "0", "3/77"], ["8/77", "3/77", "0"]],
+        ):
+            space = _assert_same_as_reference(matrix)
+            assert isinstance(space, FiniteMetricSpace)
+
+    def test_wide_two_distance_spaces_from_graphs(self):
+        rng = random.Random(43)
+        a = F(2, 3)
+        for n, p in [(4, 0.5), (6, 0.5), (9, 0.3), (16, 0.5), (25, 0.2), (45, 0.5), (45, 0.1)]:
+            g = random_usable_graph(rng, n, p)
+            while is_cluster_graph(g):
+                g = random_usable_graph(rng, n, p)
+            ids = [f"p{i}" for i in range(n)]
+            # b > 2a on a non-cluster graph breaks the triangle inequality; b <= 2a never does
+            wide = _two_valued_matrix(g, a, F(3, 2))
+            want = _outcome(_reference_validate, wide)
+            assert want[0] is TriangleViolation
+            with pytest.raises(TriangleViolation) as err:
+                two_distance_space_from_graph(g, a, F(3, 2), ids)
+            assert err.value.indices == want[1]["indices"]
+            tds = two_distance_space_from_graph(g, a, F(4, 3), ids)
+            assert tds.base == _reference_validate(ids, _two_valued_matrix(g, a, F(4, 3)))
+
+
+def test_int_check_adds_no_fractions(monkeypatch):
+    """Every axiom is checked in int arithmetic: a 20-point space with mixed
+    denominators validates with ``Fraction`` addition switched off."""
+    matrix = _coprime_matrix(random.Random(47), 20)
+    ids = [f"p{i}" for i in range(20)]
+
+    def no_adding(*_):
+        raise AssertionError("Fraction addition in validate_metric")
+
+    monkeypatch.setattr(F, "__add__", no_adding)
+    monkeypatch.setattr(F, "__radd__", no_adding)
+    space = validate_metric(ids, matrix)
+    monkeypatch.undo()
+    assert space == _reference_validate(ids, matrix)
