@@ -7,6 +7,14 @@ touching a coloring.  ``clique_cover_number`` ties them together through
 the complement-graph identity theta(H) = gamma(H'), and the test suite
 holds the two routes to exact agreement.
 
+The colorer (Brélaz's DSATUR order, CACM 1979) branches on the uncolored
+vertex of largest ``(saturation, degree, -v)`` and tries its colors in
+ascending order.  It keeps that key as one packed int per vertex, raised
+or lowered as neighbors' colors add or remove saturation bits, so a node
+costs one ``max`` over the uncolored set and a walk over one neighbor
+set.  The keys change what a node costs, not which nodes there are: the
+tests hold the search, node for node, to a per-node tuple scan.
+
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
 """
@@ -155,42 +163,48 @@ def is_cluster_graph(g: SimpleGraph) -> bool:
     return all(is_clique(g, comp) for comp in members)
 
 
+def _dsatur_keys(g: SimpleGraph) -> tuple[list[int], int]:
+    """Static DSATUR keys and the step that adds one to a saturation.
+
+    A key packs ``(saturation, degree, n - v)`` into one int, each field
+    wide enough for its largest value (``n``, ``n - 1`` and ``n``), so
+    comparing keys compares those tuples.  ``n - v`` is distinct per
+    vertex and breaks ties toward the lowest index.
+    """
+    n = g.n
+    width = n.bit_length()
+    keys = [(len(nbrs) << width) | (n - v) for v, nbrs in enumerate(g.neighbors)]
+    return keys, 1 << (2 * width)
+
+
 def _dsatur_greedy(g: SimpleGraph) -> list[int]:
     """Greedy DSATUR coloring; an upper bound and the initial incumbent."""
-    n = g.n
-    adj = g.adjacency_bits
-    colors = [-1] * n
-    sat_masks = [0] * n
-    degrees = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        best_v = -1
-        best_key = (-1, -1, 1)
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            key = (sat_masks[v].bit_count(), degrees[v], -v)
-            if key > best_key:
-                best_key = key
-                best_v = v
-        c = 0
-        while (sat_masks[best_v] >> c) & 1:
-            c += 1
-        colors[best_v] = c
-        mask = adj[best_v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            sat_masks[w] |= 1 << c
+    nbrs = g.neighbors
+    colors = [-1] * g.n
+    sat_masks = [0] * g.n
+    key, step = _dsatur_keys(g)
+    uncolored = set(range(g.n))
+    while uncolored:
+        v = max(uncolored, key=key.__getitem__)
+        uncolored.remove(v)
+        sat = sat_masks[v]
+        c = (~sat & (sat + 1)).bit_length() - 1
+        colors[v] = c
+        bit = 1 << c
+        for w in nbrs[v]:
+            if not sat_masks[w] & bit:
+                sat_masks[w] |= bit
+                key[w] += step
     return colors
 
 
 def _greedy_clique(g: SimpleGraph) -> list[int]:
     """A maximal clique grown greedily by descending degree; a lower bound for coloring."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    key, _ = _dsatur_keys(g)
     clique: list[int] = []
     clique_mask = 0
     adj = g.adjacency_bits
-    for v in order:
+    for v in sorted(range(g.n), key=key.__getitem__, reverse=True):
         if clique_mask & ~adj[v] == 0:
             clique.append(v)
             clique_mask |= 1 << v
@@ -207,6 +221,10 @@ def _normalize_coloring(colors: list[int]) -> tuple[int, tuple[int, ...]]:
     return len(relabel), tuple(out)
 
 
+class _Done(Exception):
+    """Unwinds the coloring search once it meets the clique lower bound."""
+
+
 def chromatic_number(
     g: SimpleGraph, node_limit: Optional[int] = None
 ) -> tuple[int, tuple[int, ...]]:
@@ -214,17 +232,22 @@ def chromatic_number(
 
     DSATUR-ordered branch-and-bound seeded with a greedy upper bound and a
     greedy-clique lower bound.  The clique vertices are pre-colored, which
-    breaks color symmetry without affecting exactness.  ``node_limit``
-    bounds the number of branching decisions; exceeding it raises
-    :class:`NodeLimitExceeded` instead of returning an approximation.
+    breaks color symmetry without affecting exactness.  Each node branches
+    on the uncolored vertex of largest ``(saturation, degree, -v)``, then
+    tries its free colors in ascending order.  That key is one packed int
+    per vertex (see :func:`_dsatur_keys`), raised or lowered by one step
+    whenever a neighbor's color adds or removes a saturation bit, so
+    choosing the vertex is one ``max`` over the uncolored set.
+    ``node_limit`` bounds the number of branching decisions; exceeding it
+    raises :class:`NodeLimitExceeded` instead of returning an
+    approximation.
     """
     n = g.n
     if n < 1:
         raise ValueError("chromatic number needs at least one vertex")
     if g.is_edgeless():
         return 1, (0,) * n
-    adj = g.adjacency_bits
-    degrees = [adj[v].bit_count() for v in range(n)]
+    nbrs = g.neighbors
 
     incumbent = _dsatur_greedy(g)
     best_k, best = _normalize_coloring(incumbent)
@@ -237,15 +260,14 @@ def chromatic_number(
     sat_masks = [0] * n
     for c, v in enumerate(clique):
         colors[v] = c
-        mask = adj[v]
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
+        for w in nbrs[v]:
             sat_masks[w] |= 1 << c
+    key, step = _dsatur_keys(g)
+    for v in range(n):
+        key[v] += sat_masks[v].bit_count() * step
+    uncolored = set(range(n)).difference(clique)
+    by_key = key.__getitem__
     nodes = 0
-
-    class _Done(Exception):
-        pass
 
     def search(colored: int, used: int):
         nonlocal best_k, best, nodes
@@ -260,32 +282,26 @@ def chromatic_number(
             if nodes >= node_limit:
                 raise NodeLimitExceeded(node_limit, nodes)
             nodes += 1
-        v = -1
-        v_key = (-1, -1, 1)
-        for u in range(n):
-            if colors[u] == -1:
-                key = (sat_masks[u].bit_count(), degrees[u], -u)
-                if key > v_key:
-                    v_key = key
-                    v = u
-        limit = min(used + 1, best_k - 1)
-        for c in range(limit):
-            if (sat_masks[v] >> c) & 1:
+        v = max(uncolored, key=by_key)
+        uncolored.remove(v)
+        sat = sat_masks[v]
+        for c in range(min(used + 1, best_k - 1)):
+            bit = 1 << c
+            if sat & bit:
                 continue
             colors[v] = c
             touched = []
-            bit = 1 << c
-            mask = adj[v]
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for w in nbrs[v]:
                 if colors[w] == -1 and not sat_masks[w] & bit:
                     sat_masks[w] |= bit
+                    key[w] += step
                     touched.append(w)
             search(colored + 1, max(used, c + 1))
-            colors[v] = -1
             for w in touched:
                 sat_masks[w] &= ~bit
+                key[w] -= step
+        colors[v] = -1
+        uncolored.add(v)
 
     try:
         search(len(clique), lower)

@@ -272,9 +272,16 @@ def validate_metric(
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n}x{n} to match the point list")
 
+    # ``exact`` (and the entry name it reports) is reached only for a type
+    # other than int or Fraction, to accept it or to raise its TypeError.
     dist = tuple(
-        tuple(exact(matrix[i][j], f"dist[{i}][{j}]") for j in range(n))
-        for i in range(n)
+        tuple(
+            d if type(d) is Fraction
+            else Fraction(d) if type(d) is int
+            else exact(d, f"dist[{i}][{j}]")
+            for j, d in enumerate(row)
+        )
+        for i, row in enumerate(matrix)
     )
     scale = math.lcm(*{d.denominator for row in dist for d in row})
     ints = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]

@@ -310,6 +310,24 @@ class TestBorsuk:
         assert feasible
         assert witness.blocks == ((0, 1), (2, 3))
 
+    def test_demo_witnesses_pinned(self, e2_space):
+        """The witnesses ``demos/04_borsuk.py`` prints."""
+        general = validate_metric(
+            ["p", "q", "r", "far"],
+            [[0, 1, 1, 2], [1, 0, 1, 2], [1, 1, 0, 2], [2, 2, 2, 0]],
+        )
+        expected = [
+            (e2_space, 3, ((0, 1), (2, 3), (4,))),
+            (e2_space, 4, ((0,), (1,), (2, 3), (4,))),
+            (e2_space, 5, ((0,), (1,), (2,), (3,), (4,))),
+            (general, 2, ((0, 1, 2), (3,))),
+            (general, 3, ((0, 1), (2,), (3,))),
+            (general, 4, ((0,), (1,), (2,), (3,))),
+        ]
+        assert borsuk_feasible(general, 1) == (False, None)
+        for space, m, blocks in expected:
+            assert borsuk_feasible(space, m)[1].blocks == blocks
+
     def test_general_space_direct_route(self):
         # An equilateral simplex is not two-distance: no pair is closer than
         # the diameter, so G_{<diam X} is edgeless and theta = n.

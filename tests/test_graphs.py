@@ -117,6 +117,7 @@ class TestChromaticNumber:
         gamma, coloring = chromatic_number(g)
         assert gamma == 3
         assert coloring_is_proper(g, coloring)
+        assert (gamma, coloring) == (3, (0, 1, 0, 1, 2))  # the README's witness
 
     def test_petersen_needs_three_colors(self):
         g = petersen_graph()
@@ -127,6 +128,13 @@ class TestChromaticNumber:
 
     def test_complete(self):
         assert chromatic_number(complete_graph(6))[0] == 6
+
+    def test_petersen_witnesses_pinned(self):
+        """The coloring and the cover ``demos/05_graph_numbers.py`` prints."""
+        g = petersen_graph()
+        assert chromatic_number(g) == (3, (0, 1, 0, 1, 2, 1, 0, 2, 2, 1))
+        theta, cover = clique_cover_number(g)
+        assert (theta, cover.blocks) == (5, ((0, 4), (1, 6), (2, 3), (5, 8), (7, 9)))
 
     def test_witness_uses_exactly_gamma_colors(self):
         rng = random.Random(4)
@@ -156,6 +164,225 @@ class TestChromaticNumber:
                 chromatic_number(g, node_limit=limit)
             assert (err.value.limit, err.value.nodes) == (limit, limit)
             assert str(err.value) == f"exceeded node limit {limit} after {limit} nodes"
+
+
+# A DSATUR kernel that scans every vertex's (saturation, degree, -v) tuple
+# at each node, with its greedy bounds: the reference ``chromatic_number``
+# must match node for node (same vertex choice, same color order, same
+# incumbents), whatever it does to make a node cheaper.
+
+
+def _reference_dsatur_greedy(g: SimpleGraph) -> list[int]:
+    n = g.n
+    adj = g.adjacency_bits
+    colors = [-1] * n
+    sat_masks = [0] * n
+    degrees = [adj[v].bit_count() for v in range(n)]
+    for _ in range(n):
+        best_v = -1
+        best_key = (-1, -1, 1)
+        for v in range(n):
+            if colors[v] != -1:
+                continue
+            key = (sat_masks[v].bit_count(), degrees[v], -v)
+            if key > best_key:
+                best_key = key
+                best_v = v
+        c = 0
+        while (sat_masks[best_v] >> c) & 1:
+            c += 1
+        colors[best_v] = c
+        mask = adj[best_v]
+        while mask:
+            w = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            sat_masks[w] |= 1 << c
+    return colors
+
+
+def _reference_greedy_clique(g: SimpleGraph) -> list[int]:
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    clique: list[int] = []
+    clique_mask = 0
+    adj = g.adjacency_bits
+    for v in order:
+        if clique_mask & ~adj[v] == 0:
+            clique.append(v)
+            clique_mask |= 1 << v
+    return sorted(clique)
+
+
+def _reference_normalize(colors: list[int]) -> tuple[int, tuple[int, ...]]:
+    relabel: dict[int, int] = {}
+    out = []
+    for c in colors:
+        if c not in relabel:
+            relabel[c] = len(relabel)
+        out.append(relabel[c])
+    return len(relabel), tuple(out)
+
+
+def _reference_chromatic(g: SimpleGraph, node_limit=None):
+    n = g.n
+    if n < 1:
+        raise ValueError("chromatic number needs at least one vertex")
+    if g.is_edgeless():
+        return 1, (0,) * n
+    adj = g.adjacency_bits
+    degrees = [adj[v].bit_count() for v in range(n)]
+
+    incumbent = _reference_dsatur_greedy(g)
+    best_k, best = _reference_normalize(incumbent)
+    clique = _reference_greedy_clique(g)
+    lower = len(clique)
+    if lower == best_k:
+        return best_k, best
+
+    colors = [-1] * n
+    sat_masks = [0] * n
+    for c, v in enumerate(clique):
+        colors[v] = c
+        mask = adj[v]
+        while mask:
+            w = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            sat_masks[w] |= 1 << c
+    nodes = 0
+
+    class _Done(Exception):
+        pass
+
+    def search(colored: int, used: int):
+        nonlocal best_k, best, nodes
+        if used >= best_k:
+            return
+        if colored == n:
+            best_k, best = _reference_normalize(colors)
+            if best_k == lower:
+                raise _Done
+            return
+        if node_limit is not None:
+            if nodes >= node_limit:
+                raise NodeLimitExceeded(node_limit, nodes)
+            nodes += 1
+        v = -1
+        v_key = (-1, -1, 1)
+        for u in range(n):
+            if colors[u] == -1:
+                key = (sat_masks[u].bit_count(), degrees[u], -u)
+                if key > v_key:
+                    v_key = key
+                    v = u
+        limit = min(used + 1, best_k - 1)
+        for c in range(limit):
+            if (sat_masks[v] >> c) & 1:
+                continue
+            colors[v] = c
+            touched = []
+            bit = 1 << c
+            mask = adj[v]
+            while mask:
+                w = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                if colors[w] == -1 and not sat_masks[w] & bit:
+                    sat_masks[w] |= bit
+                    touched.append(w)
+            search(colored + 1, max(used, c + 1))
+            colors[v] = -1
+            for w in touched:
+                sat_masks[w] &= ~bit
+
+    try:
+        search(len(clique), lower)
+    except _Done:
+        pass
+    return best_k, best
+
+
+def _queen_graph(k: int) -> SimpleGraph:
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return SimpleGraph(
+        k * k,
+        frozenset(
+            (i, j)
+            for i, (r1, c1) in enumerate(cells)
+            for j, (r2, c2) in enumerate(cells)
+            if i < j and (r1 == r2 or c1 == c2 or abs(r1 - r2) == abs(c1 - c2))
+        ),
+    )
+
+
+def _mycielski_graph(k: int) -> SimpleGraph:
+    """M_k (M_2 = K_2): triangle-free with chromatic number k."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        grown = list(edges)
+        for u, v in edges:
+            grown += [(u, n + v), (v, n + u)]
+        grown += [(n + i, 2 * n) for i in range(n)]
+        n, edges = 2 * n + 1, grown
+    return SimpleGraph(n, frozenset(edges))
+
+
+def _same_tree_graphs() -> list[SimpleGraph]:
+    """Seeded G(n, p) and their complements (n = 16 and 32 fill every bit
+    of the ``n - v`` field), plus named graphs; most need a real search."""
+    rng = random.Random(61)
+    graphs = []
+    for n in (16, 20, 24, 28, 32):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graph(rng, n, p)
+            graphs += [g, complement(g)]
+    named = [complement(petersen_graph()), _queen_graph(5), _queen_graph(6), _mycielski_graph(4)]
+    return graphs + named
+
+
+def _outcome(solver, g, limit):
+    try:
+        return solver(g, node_limit=limit)
+    except NodeLimitExceeded as err:
+        return (err.limit, err.nodes)
+
+
+def _total_nodes(solver, g) -> int:
+    """The smallest node limit at which ``solver`` completes on ``g``."""
+    hi = 1
+    while isinstance(_outcome(solver, g, hi)[1], int):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(_outcome(solver, g, mid)[1], int):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestSameSearchTree:
+    """The kernel explores exactly the reference's search tree."""
+
+    @pytest.mark.parametrize("g", _same_tree_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
+    def test_matches_reference(self, g):
+        from ghsimplex.graphs import _dsatur_greedy, _greedy_clique
+
+        assert _dsatur_greedy(g) == _reference_dsatur_greedy(g)
+        assert _greedy_clique(g) == _reference_greedy_clique(g)
+        assert chromatic_number(g) == _reference_chromatic(g)
+        for limit in (1, 2, 5, 17):
+            assert _outcome(chromatic_number, g, limit) == _outcome(_reference_chromatic, g, limit)
+        total = _total_nodes(_reference_chromatic, g)
+        assert chromatic_number(g, node_limit=total) == _reference_chromatic(g)
+        if total:
+            with pytest.raises(NodeLimitExceeded) as err:
+                chromatic_number(g, node_limit=total - 1)
+            assert (err.value.limit, err.value.nodes) == (total - 1, total - 1)
+
+    def test_searches_are_long_enough_to_tell(self):
+        """A changed vertex choice shows up as a changed node count only
+        where there is a search; most graphs above need one."""
+        totals = [_total_nodes(_reference_chromatic, g) for g in _same_tree_graphs()]
+        assert sum(t > 10 for t in totals) * 2 >= len(totals)
 
 
 class TestCliqueCover:
