@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--b", default=None)
         p.add_argument("--format", choices=["auto", "json", "dimacs"], default="auto")
 
-    p = sub.add_parser("oracle-check", help="closed form vs oracle, exhaustively")
+    p = sub.add_parser("oracle-check", help="closed form vs threshold oracle for m = 1..max-m")
     p.add_argument("--space", required=True)
     p.add_argument("--max-m", dest="max_m", required=True, type=int)
     p.add_argument("--lambdas", required=True, help="comma-separated rationals")

@@ -274,10 +274,12 @@ def validate_metric(
 
     # ``exact`` (and the entry name it reports) is reached only for a type
     # other than int or Fraction, to accept it or to raise its TypeError.
+    # Each distinct int becomes a Fraction once.
+    as_fraction = {d: Fraction(d) for d in {d for row in matrix for d in row if type(d) is int}}
     dist = tuple(
         tuple(
             d if type(d) is Fraction
-            else Fraction(d) if type(d) is int
+            else as_fraction[d] if type(d) is int
             else exact(d, f"dist[{i}][{j}]")
             for j, d in enumerate(row)
         )

@@ -23,10 +23,15 @@ The enumeration route stays as the independent reference:
 :func:`enumerate_partitions` streams the partitions in lexicographic
 restricted-growth-string order, and :func:`ad_set` collects every
 (alpha, diam) pair with the statistics carried incrementally down the
-recursion over integer distance ranks.  A scan may be restricted to the
-subtree under a fixed assignment of the first elements, which is how
-work is split across processes; merged results are identical to a
-sequential scan.  The tests hold the threshold route to this one.
+recursion over integer distance ranks.  The recursion places the free
+elements in order of their smallest rank to any other point and cuts a
+subtree as soon as no pair still to be placed can lower its separation
+or raise its diameter: the whole subtree then has one pair.  A scan may
+be restricted to the subtree under a fixed assignment of the first
+elements, which is how work is split across processes; merged results
+are identical to a sequential scan.  The tests hold the threshold route
+to this one, and this one to :func:`partition_alpha` and
+:func:`partition_diameter` over :func:`enumerate_partitions`.
 """
 
 from __future__ import annotations
@@ -213,6 +218,15 @@ def _scan_pairs(
 
     Rank -1 stands for an all-singleton diameter (0); rank ``n*n`` stands
     for the empty separation infimum (+infinity, one block only).
+
+    The free elements (those after the prefix) are scanned in order of
+    their smallest rank to any other point, ties by index.  The set of
+    pairs does not depend on labels, and the prefix elements keep their
+    places, so a prefix names the same partitions as before.
+    A node whose separation is already at most every rank still to be
+    placed, and whose diameter is already at least every such rank,
+    yields its pair without descending: every node has a completion, and
+    none can lower the one or raise the other.
     """
     big = n * n
     out: set[tuple[int, int]] = set()
@@ -220,14 +234,32 @@ def _scan_pairs(
         prefix = (0,)
     used0, d0, a0 = _prefix_state(prefix, rank, m, n, big)
     start = len(prefix)
-    assign = list(prefix) + [0] * (n - start)
     if start == n:
         if used0 == m:
             out.add((a0, d0))
         return out
+    order = list(range(start)) + sorted(
+        range(start, n), key=lambda v: min(rank[v][:v] + rank[v][v + 1 :])
+    )
+    rank = [[rank[u][v] for v in order] for u in order]
+    # floor[i] / ceil[i]: smallest / largest rank of a pair whose larger
+    # element is >= i, that is, of a pair not yet placed at node i.
+    floor = [big] * n
+    ceil = [-1] * n
+    lo, hi = big, -1
+    for i in range(n - 1, 0, -1):
+        row = rank[i][:i]
+        lo = min(lo, min(row))
+        hi = max(hi, max(row))
+        floor[i] = lo
+        ceil[i] = hi
+    assign = list(prefix) + [0] * (n - start)
     last = n - 1
 
     def rec(i: int, used: int, d_cur: int, a_cur: int) -> None:
+        if a_cur <= floor[i] and d_cur >= ceil[i]:
+            out.add((a_cur, d_cur))
+            return
         row = rank[i]
         bmax = [0] * used
         bmin = [big] * used
@@ -298,8 +330,10 @@ def ad_set(
 ) -> frozenset[ADPoint]:
     """The set of (alpha(D), diam D) pairs over all m-block partitions.
 
-    ``prefix`` restricts the scan to partitions extending that restricted
-    growth string; a full scan uses no prefix.
+    A depth-first scan over restricted growth strings; a subtree in which
+    neither statistic can change any more yields its one pair without
+    being enumerated.  ``prefix`` restricts the scan to partitions
+    extending that restricted growth string; a full scan uses no prefix.
     """
     n = space.n
     if m < 1 or m > n:

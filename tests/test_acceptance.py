@@ -267,6 +267,7 @@ def test_criterion_8_performance_and_parallel_split():
     assert split == sequential
     _report(
         8,
-        f"full S(12,6) sweep in {elapsed:.1f}s (< 60s); parallel split set identical "
+        f"S(12,6) scan with the saturation cut in {elapsed:.1f}s (< 60s); "
+        f"parallel split set identical "
         f"({len(sequential)} distinct pairs)",
     )

@@ -1,5 +1,10 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +159,118 @@ class TestADSet:
             ad_set(e1_space, 0)
         with pytest.raises(InvalidM):
             ad_set(e1_space, 5)
+
+
+def _enumerated_pairs(space, m):
+    """(assignment, (alpha, diam)) of every m-block partition, by brute force."""
+    return [
+        (p.assignment(), ADPoint(partition_alpha(space, p), partition_diameter(space, p)))
+        for p in enumerate_partitions(space.n, m)
+    ]
+
+
+def _repeated_diameter_space(rng, n):
+    """Distances in {2, 3, 4}, mostly 4: every such matrix is a metric
+    (2 + 2 >= 4), and the diameter is taken by many pairs."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((2, 3, 4, 4, 4))
+    return validate_metric([f"p{i}" for i in range(n)], rows)
+
+
+class TestScanAgainstBruteForce:
+    """``ad_set`` against ``partition_alpha`` / ``partition_diameter`` over
+    ``enumerate_partitions``: neither the saturation cut nor the order of
+    the free elements may change a single pair."""
+
+    @pytest.mark.parametrize("denominator", [2, 10])
+    def test_random_spaces_every_m(self, denominator):
+        rng = random.Random(40 + denominator)
+        for n in range(1, 9):
+            for _ in range(3):
+                space = random_metric_space(rng, n, denominator)
+                for m in range(1, n + 1):
+                    expected = frozenset(pt for _, pt in _enumerated_pairs(space, m))
+                    assert ad_set(space, m) == expected, (space.dist, m)
+
+    def test_repeated_diameter_every_m(self):
+        rng = random.Random(43)
+        for n in range(2, 9):
+            for _ in range(4):
+                space = _repeated_diameter_space(rng, n)
+                for m in range(1, n + 1):
+                    expected = frozenset(pt for _, pt in _enumerated_pairs(space, m))
+                    assert ad_set(space, m) == expected, (space.dist, m)
+
+    def test_every_prefix_of_depth_one_to_three(self):
+        rng = random.Random(44)
+        spaces = [random_metric_space(rng, n, den) for n in (4, 6, 8) for den in (2, 10)]
+        spaces += [_repeated_diameter_space(rng, n) for n in (5, 7, 8)]
+        for space in spaces:
+            for m in range(1, space.n + 1):
+                enumerated = _enumerated_pairs(space, m)
+                for depth in (1, 2, 3):
+                    for pfx in scan_prefixes(space.n, m, depth):
+                        expected = frozenset(
+                            pt for assign, pt in enumerated if assign[: len(pfx)] == pfx
+                        )
+                        assert ad_set(space, m, prefix=pfx) == expected, (space.dist, m, pfx)
+
+    def test_point_order_does_not_change_the_set(self):
+        rng = random.Random(45)
+        for n in range(2, 10):
+            for space in (random_metric_space(rng, n, 10), _repeated_diameter_space(rng, n)):
+                order = list(range(n))
+                rng.shuffle(order)
+                other = _permuted(space, order)
+                for m in range(1, n + 1):
+                    assert ad_set(other, m) == ad_set(space, m), (space.dist, order, m)
+
+
+_PIN_SCRIPT = """
+from fractions import Fraction as F
+from ghsimplex import ad_set, validate_metric
+
+n = 40
+rows = [
+    [0 if i == j else F(1) if {i, j} == {5, 31} else F(3, 2) for j in range(n)]
+    for i in range(n)
+]
+space = validate_metric([f"p{i}" for i in range(n)], rows)
+ms = (2, 3, 20, 38, 39, 40)
+print({m: sorted((str(p.alpha), str(p.d)) for p in ad_set(space, m)) for m in ms})
+"""
+
+
+def test_cut_and_order_finish_n40_scan():
+    """Points 5 and 31 at distance 1, every other pair at 3/2.  With m < 39
+    some block holds a 3/2 pair, so diam = 3/2, and alpha is 1 or 3/2 as 5
+    and 31 are split or joined.  At m = 39 the one pair block is {5, 31}
+    (alpha 3/2, diam 1) or not (alpha 1, diam 3/2); m = 40 is all
+    singletons.  S(40, 3) is about 2e18, so a scan that cannot cut, or cuts
+    only once 5 and 31 are both placed, runs out the timeout instead."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _PIN_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("ad_set on the n = 40 space did not finish in 60 s")
+    assert done.returncode == 0, done.stderr
+    split, joined = ("1", "3/2"), ("3/2", "3/2")
+    assert ast.literal_eval(done.stdout) == {
+        2: [split, joined],
+        3: [split, joined],
+        20: [split, joined],
+        38: [split, joined],
+        39: [split, ("3/2", "1")],
+        40: [("1", "0")],
+    }
 
 
 class TestScanSplit:
