@@ -5,11 +5,12 @@ The package computes, in exact rational arithmetic:
 * validated finite metric spaces and their two-distance specialization,
 * Hausdorff distances between subsets and minimal-distance graphs,
 * the closed-form case table for 2 d_GH(lambda simplex_m, X) on
-  two-distance spaces, with piecewise-linear lambda sweeps,
+  two-distance spaces, as an exact piecewise-linear lambda-curve,
 * a partition oracle for the same quantity on any finite metric space,
-  used as an independent cross-check: threshold graphs and clique covers
-  find the extreme (separation, diameter) pairs, and brute-force
-  enumeration of the partitions stays as the reference,
+  used as an independent cross-check and with a lambda-curve of its
+  own: threshold graphs and clique covers find the extreme (separation,
+  diameter) pairs, and brute-force enumeration of the partitions stays
+  as the reference,
 * the generalized Borsuk decision (split into m parts of strictly
   smaller diameter?) with witness partitions,
 * exact clique covering and chromatic numbers, both directly and
@@ -17,11 +18,9 @@ The package computes, in exact rational arithmetic:
 """
 
 from .closed_form import (
-    CurveSegment,
     GHCase,
     GHCaseTag,
     GHValue,
-    PiecewiseLinearCurve,
     borsuk_feasible,
     chromatic_via_gh,
     classify_case,
@@ -31,6 +30,7 @@ from .closed_form import (
     gh_two_distance,
     graph_invariants,
 )
+from .curves import CurveSegment, PiecewiseLinearCurve
 from .errors import (
     Asymmetric,
     BadParameters,
@@ -95,6 +95,7 @@ from .partitions import (
     enumerate_partitions,
     extreme_points,
     gh_oracle,
+    gh_oracle_curve,
     h_value,
     partition_alpha,
     partition_diameter,

@@ -23,11 +23,11 @@ from .closed_form import (
     gh_curve,
     gh_two_distance,
 )
-from .errors import GHError
+from .errors import GHError, NotTwoDistance
 from .formats import parse_graph, parse_space, serialize_space, sniff_graph_format
 from .graphs import SimpleGraph, chromatic_number, clique_cover_number
 from .metric import FiniteMetricSpace, as_two_distance, diameter
-from .partitions import gh_oracle
+from .partitions import gh_oracle, gh_oracle_curve
 from .rationals import format_rational, parse_rational
 
 
@@ -59,7 +59,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--method", choices=["closed", "oracle", "both"], default="closed")
 
-    p = sub.add_parser("ghcurve", help="piecewise-linear lambda sweep")
+    p = sub.add_parser(
+        "ghcurve", help="piecewise-linear lambda sweep (the oracle's, case null, if not two-distance)"
+    )
     p.add_argument("--space", required=True)
     p.add_argument("--m", required=True, type=int)
 
@@ -158,7 +160,12 @@ def _cmd_ghdist(args) -> tuple[dict, dict, Optional[str]]:
 
 def _cmd_ghcurve(args) -> tuple[dict, dict, Optional[str]]:
     space = _load_space(args.space)
-    curve = gh_curve(as_two_distance(space), args.m)
+    try:
+        tds = as_two_distance(space)
+    except NotTwoDistance:
+        curve = gh_oracle_curve(space, args.m)
+    else:
+        curve = gh_curve(tds, args.m)
     segments = [
         {
             "lo": format_rational(seg.lo),
@@ -169,7 +176,7 @@ def _cmd_ghcurve(args) -> tuple[dict, dict, Optional[str]]:
         for seg in curve.segments
     ]
     inputs = {"space": _space_echo(space), "m": args.m}
-    return inputs, {"segments": segments}, curve.case.tag.value
+    return inputs, {"segments": segments}, curve.case.tag.value if curve.case else None
 
 
 def _cmd_borsuk(args) -> tuple[dict, dict, Optional[str]]:

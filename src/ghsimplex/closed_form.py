@@ -5,8 +5,11 @@ minimal-distance graph, k the number of connected components of G and
 theta its clique covering number.  Twice the Gromov-Hausdorff distance
 between the m-point simplex of side lambda and X is then given by a
 nine-way case split on (m, n, k, theta); every case value is a maximum
-of affine functions of lambda, which also yields exact piecewise-linear
-sweep curves.
+of affine functions of lambda.  Those pieces make one exact
+piecewise-linear curve per space and m, built on first use and kept on
+the space; :func:`gh_two_distance` reads its value off that curve.  It
+is the r = 2 instance of the partition oracle's curve, and the tests
+hold the two equal segment for segment.
 
 Run in reverse over a space built from a graph, the table recovers the
 clique covering number and the chromatic number of that graph.
@@ -24,8 +27,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
 from .errors import (
     BadParameters,
     DegenerateGraph,
@@ -47,7 +51,7 @@ from .metric import (
     two_distance_space_from_graph,
 )
 from .partitions import Partition, partition_from_blocks
-from .rationals import INF, RationalOrInf, exact
+from .rationals import INF, exact
 
 
 class GHCaseTag(enum.Enum):
@@ -77,33 +81,6 @@ class GHValue:
 
     value: Fraction
     case: GHCase
-
-
-class CurveSegment(NamedTuple):
-    """One affine stretch of the sweep: value = slope * lambda + intercept on (lo, hi]."""
-
-    lo: Fraction
-    hi: RationalOrInf
-    slope: int
-    intercept: Fraction
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearCurve:
-    """lambda -> 2 d_GH on (0, inf): contiguous segments with slopes in {-1, 0, +1}."""
-
-    segments: tuple[CurveSegment, ...]
-    case: GHCase
-
-    def evaluate(self, lam: Union[Fraction, int, str]) -> Fraction:
-        lam = exact(lam, "lambda")
-        if lam <= 0:
-            raise NonPositiveLambda(lam)
-        for seg in self.segments:
-            if lam <= seg.hi:
-                return seg.slope * lam + seg.intercept
-        seg = self.segments[-1]
-        return seg.slope * lam + seg.intercept
 
 
 def classify_case_from_params(m: int, n: int, k: int, theta: int) -> GHCaseTag:
@@ -172,18 +149,6 @@ def _case_pieces(tag: GHCaseTag, a: Fraction, b: Fraction) -> tuple[tuple[int, F
     return ((-1, b), (1, Fraction(0)))
 
 
-def _case_and_pieces(
-    tds: TwoDistanceSpace, m: int
-) -> tuple[GHCase, tuple[tuple[int, Fraction], ...]]:
-    """The case for m and its affine pieces; they do not depend on lambda,
-    so a sweep computes them once per space and m."""
-    got = tds.cases.get(m)
-    if got is None:
-        case = classify_case(tds, m)
-        got = tds.cases[m] = (case, _case_pieces(case.tag, tds.a, tds.b))
-    return got
-
-
 def gh_two_distance(
     tds: TwoDistanceSpace, m: int, lam: Union[Fraction, int, str]
 ) -> GHValue:
@@ -191,43 +156,34 @@ def gh_two_distance(
     lam = exact(lam, "lambda")
     if lam <= 0:
         raise NonPositiveLambda(lam)
-    case, pieces = _case_and_pieces(tds, m)
-    value = max(
-        intercept if slope == 0 else intercept + lam if slope > 0 else intercept - lam
-        for slope, intercept in pieces
-    )
-    return GHValue(value, case)
+    curve = gh_curve(tds, m)
+    return GHValue(curve.at(lam), curve.case)
 
 
 def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
-    """Exact lambda sweep of the case formula as a piecewise-linear curve."""
-    case, pieces = _case_and_pieces(tds, m)
-    pieces = list(dict.fromkeys(pieces))
-    cuts = set()
-    for x, (s1, c1) in enumerate(pieces):
-        for s2, c2 in pieces[x + 1 :]:
-            if s1 != s2:
-                lam = Fraction(c2 - c1, s1 - s2)
-                if lam > 0:
-                    cuts.add(lam)
-    bounds = sorted(cuts)
+    """Exact lambda sweep of the case formula as a piecewise-linear curve,
+    built on the first query for each m and kept on the space.
 
-    def active_at(lam: Fraction) -> tuple[int, Fraction]:
-        return max(pieces, key=lambda p: (p[0] * lam + p[1], -p[0]))
-
-    segments: list[CurveSegment] = []
-    lo = Fraction(0)
-    for idx in range(len(bounds) + 1):
-        hi: RationalOrInf = bounds[idx] if idx < len(bounds) else INF
-        sample = (lo + hi) / 2 if hi != INF else lo + 1
-        slope, intercept = active_at(sample)
-        if segments and (segments[-1].slope, segments[-1].intercept) == (slope, intercept):
-            segments[-1] = CurveSegment(segments[-1].lo, hi, slope, intercept)
+    Every case has the piece b - lambda or the constant b, so its formula
+    is max(b - lambda, R), with R the maximum of its slope-0 and slope-+1
+    pieces.
+    """
+    got = tds.cases.get(m)
+    if got is None:
+        case = classify_case(tds, m)
+        pieces = _case_pieces(case.tag, tds.a, tds.b)
+        flat = [c for slope, c in pieces if slope == 0]
+        ramp = [c for slope, c in pieces if slope == 1]
+        zero = Fraction(0)
+        if not ramp:
+            rising = [CurveSegment(zero, INF, 0, flat[0])]
+        elif not flat:
+            rising = [CurveSegment(zero, INF, 1, ramp[0])]
         else:
-            segments.append(CurveSegment(lo, hi, slope, intercept))
-        if hi != INF:
-            lo = hi
-    return PiecewiseLinearCurve(tuple(segments), case)
+            turn = flat[0] - ramp[0]
+            rising = [CurveSegment(zero, turn, 0, flat[0]), CurveSegment(turn, INF, 1, ramp[0])]
+        got = tds.cases[m] = PiecewiseLinearCurve(above_falling_line(tds.b, rising), case)
+    return got
 
 
 def _split_to_m_blocks(blocks: Sequence[Sequence[int]], m: int, n: int) -> Partition:

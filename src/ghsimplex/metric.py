@@ -32,6 +32,7 @@ from .errors import (
     NotTwoDistance,
     TriangleViolation,
 )
+from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
 from .graphs import CliqueCover, SimpleGraph, clique_cover_number
 from .rationals import INF, RationalOrInf, exact
 
@@ -61,9 +62,6 @@ class FiniteMetricSpace:
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def index_of(self, point_id: str) -> int:
-        return self.points.index(point_id)
 
     def off_diagonal_values(self) -> frozenset[Fraction]:
         return frozenset(self.distances)
@@ -121,8 +119,8 @@ class TwoDistanceSpace:
 
     @cached_property
     def cases(self) -> dict:
-        """The closed form's lambda-free data per m (its case and affine
-        pieces), filled on first use by :mod:`ghsimplex.closed_form`."""
+        """The closed form's curve per m, which carries its case; filled on
+        first use by :mod:`ghsimplex.closed_form`."""
         return {}
 
 
@@ -150,8 +148,8 @@ class ThresholdTable:
     whose corners are the extreme ``(alpha, diam)`` pairs.  At ``i = 0``
     every point is its own component, so cell ``(0, r-2)`` covers the
     graph of the pairs closer than the diameter: the Borsuk graph.  Levels
-    (per ``i``), minimum covers (per ``(i, j)``) and corners (per m) are
-    computed on first use and kept.
+    (per ``i``), minimum covers (per ``(i, j)``), corners and the
+    lambda-curves they fix (per m) are computed on first use and kept.
     """
 
     def __init__(self, ranks: Sequence[Sequence[int]], values: Sequence[Fraction]) -> None:
@@ -160,6 +158,7 @@ class ThresholdTable:
         self._levels: dict[int, tuple[int, int, list[list[int]]]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
         self._corners: dict[int, frozenset[ADPoint]] = {}
+        self._curves: dict[int, PiecewiseLinearCurve] = {}
 
     def _level(self, i: int) -> tuple[int, int, list[list[int]]]:
         """Components of ``G_{<v_i}``: their number, the largest rank inside
@@ -247,6 +246,38 @@ class ThresholdTable:
                     break
             got = frozenset(ADPoint(self._values[i], self._value(j)) for i, j in out)
         self._corners[m] = got
+        return got
+
+    def curve(self, m: int) -> PiecewiseLinearCurve:
+        """2 d_GH(lambda simplex_m, X) as a function of lambda, for m >= 1:
+        max(diam X - lambda, R) with R the minimum over the corners c of
+        max(d_c, lambda - alpha_c), and R = lambda for every m > n."""
+        n = len(self._ranks)
+        m = min(m, n + 1)
+        got = self._curves.get(m)
+        if got is None:
+            zero = Fraction(0)
+            diam = self._value(len(self._values) - 1)
+            if m > n:
+                rising = [CurveSegment(zero, INF, 1, zero)]
+            else:
+                # Sorted by d, the extreme pairs rise in alpha too.  Each
+                # holds R at its d until lambda - alpha_c reaches it, and R
+                # follows that line until it meets the next pair's d.
+                pts = sorted(self.corners(m), key=lambda p: p.d)
+                rising = []
+                lo = zero
+                for c, p in enumerate(pts):
+                    if p.alpha == INF:
+                        rising.append(CurveSegment(lo, INF, 0, p.d))
+                        break
+                    turn = p.alpha + p.d
+                    hi = p.alpha + pts[c + 1].d if c + 1 < len(pts) else INF
+                    rising.append(CurveSegment(lo, turn, 0, p.d))
+                    rising.append(CurveSegment(turn, hi, 1, -p.alpha))
+                    lo = hi
+            got = PiecewiseLinearCurve(above_falling_line(diam, rising), None)
+            self._curves[m] = got
         return got
 
 

@@ -15,9 +15,12 @@ is max(diam X - lambda, lambda).
 m-block partition with alpha >= at and diam <= dt exists iff the
 components of G_{<at} are no wider than dt and the graph of compatible
 components has a small enough clique cover
-(:class:`~ghsimplex.metric.ThresholdTable`).  Those corners depend on
-neither lambda nor the query, so they are kept on the space and a
-lambda sweep pays for them once.
+(:class:`~ghsimplex.metric.ThresholdTable`).  Sorted by diam, the
+extreme pairs also rise in alpha, so the minimum is a staircase of flat
+and rising pieces, and the whole formula is an exact piecewise-linear
+curve in lambda (:func:`gh_oracle_curve`).  Corners and curve depend on
+neither lambda nor the query, so they are kept on the space: a lambda
+sweep pays for them once, and each value is one binary search.
 
 The enumeration route stays as the independent reference:
 :func:`enumerate_partitions` streams the partitions in lexicographic
@@ -40,8 +43,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from .curves import PiecewiseLinearCurve
 from .errors import EmptyInput, InvalidM, NonPositiveLambda
-from .metric import ADPoint, FiniteMetricSpace, diameter
+from .metric import ADPoint, FiniteMetricSpace
 from .rationals import INF, RationalOrInf, exact
 
 
@@ -426,16 +430,23 @@ def gh_oracle(space: FiniteMetricSpace, m: int, lam: Union[Fraction, int, str]) 
     side ``lam`` to ``space``, minimized over the extreme (alpha, diam)
     pairs of its m-block partitions.
 
-    The pairs are the corners of the space's threshold table, computed by
-    clique-cover calls on the first query for each m and kept on the
-    space.
+    The value is read off :func:`gh_oracle_curve`, which the space keeps,
+    so a lambda sweep builds the curve once per m.
     """
     lam = exact(lam, "lambda")
     if lam <= 0:
         raise NonPositiveLambda(lam)
+    return gh_oracle_curve(space, m).at(lam)
+
+
+def gh_oracle_curve(space: FiniteMetricSpace, m: int) -> PiecewiseLinearCurve:
+    """The exact lambda-sweep of :func:`gh_oracle` on any finite space.
+
+    The curve is max(diam X - lambda, R), where R is the minimum over the
+    extreme pairs of max(d, lambda - alpha): the corners of the space's
+    threshold table fix it, so it is computed on the first query for each
+    m and kept on the space.  Its ``case`` is None.
+    """
     if m < 1:
         raise InvalidM(m, space.n)
-    diam = diameter(space)
-    if m > space.n:
-        return max(diam - lam, lam)
-    return max(diam - lam, min(h_value(p, lam) for p in space.thresholds.corners(m)))
+    return space.thresholds.curve(m)

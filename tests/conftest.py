@@ -142,6 +142,15 @@ def enumerated_oracle(space: FiniteMetricSpace, m: int, lam: Fraction) -> Fracti
     return max(diam - lam, min(h_value(p, lam) for p in ad_set(space, m)))
 
 
+def pointwise_oracle(space: FiniteMetricSpace, m: int, lam: Fraction) -> Fraction:
+    """The distance formula evaluated at one lambda over the threshold
+    table's corners, the reference that the oracle curve is held to."""
+    diam = diameter(space)
+    if m > space.n:
+        return max(diam - lam, lam)
+    return max(diam - lam, min(h_value(p, lam) for p in space.thresholds.corners(m)))
+
+
 def all_graphs(n: int):
     """Every simple graph on n vertices, by edge-subset enumeration."""
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]

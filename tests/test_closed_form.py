@@ -28,6 +28,7 @@ from ghsimplex import (
     empty_graph,
     gh_curve,
     gh_oracle,
+    gh_oracle_curve,
     gh_two_distance,
     graph_invariants,
     is_clique,
@@ -37,6 +38,7 @@ from ghsimplex import (
     two_distance_space_from_graph,
     validate_metric,
 )
+from ghsimplex.closed_form import _case_pieces
 from conftest import (
     random_cluster_two_distance,
     random_metric_space,
@@ -222,9 +224,23 @@ class TestCurve:
             tds = random_two_distance(rng, 3, 7)
             m = rng.randint(1, tds.n + 2)
             curve = gh_curve(tds, m)
+            pieces = _case_pieces(classify_case(tds, m).tag, tds.a, tds.b)
             for _ in range(100):
                 lam = F(rng.randint(1, 400), rng.randint(1, 40))
-                assert curve.evaluate(lam) == gh_two_distance(tds, m, lam).value
+                expected = max(slope * lam + intercept for slope, intercept in pieces)
+                assert curve.evaluate(lam) == expected
+                assert gh_two_distance(tds, m, lam).value == expected
+
+    def test_case_table_is_the_corner_curve_at_r2(self, e1_tds, e2_tds):
+        """The paper's theorem is the two-distance instance of the corner
+        formula: the two curves agree segment for segment at every m."""
+        rng = random.Random(44)
+        spaces = [e1_tds, e2_tds]
+        spaces += [random_two_distance(rng, 3, 10) for _ in range(40)]
+        spaces += [random_cluster_two_distance(rng, 4, 10) for _ in range(40)]
+        for tds in spaces:
+            for m in range(1, tds.n + 2):
+                assert gh_curve(tds, m).segments == gh_oracle_curve(tds.base, m).segments
 
     def test_segments_cover_and_stay_continuous_convex(self):
         rng = random.Random(43)

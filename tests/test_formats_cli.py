@@ -173,6 +173,24 @@ class TestCLI:
             {"lo": "3", "hi": "inf", "slope": 1, "intercept": "-2"},
         ]
 
+    def test_ghcurve_general_space_is_the_oracle_curve(self, capsys, tmp_path):
+        # Points 0, 1 and 3 on a line: the one extreme 2-block pair is
+        # {0, 1} | {3}, alpha 2 and diam 1, and diam X is 3.
+        path = tmp_path / "line.json"
+        rows = [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]]
+        path.write_text(json.dumps({"points": ["p", "q", "r"], "matrix": rows}))
+        code, report = _run(capsys, ["ghcurve", "--space", str(path), "--m", "2"])
+        assert code == 0
+        assert report["case"] is None
+        assert report["result"]["segments"] == [
+            {"lo": "0", "hi": "2", "slope": -1, "intercept": "3"},
+            {"lo": "2", "hi": "3", "slope": 0, "intercept": "1"},
+            {"lo": "3", "hi": "inf", "slope": 1, "intercept": "-2"},
+        ]
+        code, report = _run(capsys, ["ghcurve", "--space", str(path), "--m", "0"])
+        assert code == 2
+        assert report["error"]["type"] == "InvalidM"
+
     def test_borsuk_feasible_with_ids(self, capsys, e1_file):
         code, report = _run(capsys, ["borsuk", "--space", e1_file, "--m", "2"])
         assert code == 0

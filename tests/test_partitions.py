@@ -22,6 +22,7 @@ from ghsimplex import (
     enumerate_partitions,
     extreme_points,
     gh_oracle,
+    gh_oracle_curve,
     gh_two_distance,
     h_value,
     is_clique,
@@ -34,6 +35,7 @@ from ghsimplex import (
 )
 from conftest import (
     enumerated_oracle,
+    pointwise_oracle,
     random_metric_space,
     random_two_distance,
     stirling2,
@@ -508,3 +510,94 @@ class TestThresholdRoute:
         copy = validate_metric(space.points, space.dist)
         assert [gh_oracle(copy, m, lam) for m in range(1, 9) for lam in self.LAMBDAS] == first
         assert len(calls) == 2 * paid
+
+
+def _line_space(rng, n):
+    xs = rng.sample(range(60), n)
+    return validate_metric(
+        [f"p{i}" for i in range(n)], [[F(abs(x - y), 4) for y in xs] for x in xs]
+    )
+
+
+def _taxicab_space(rng, n):
+    grid = [(x, y) for x in range(6) for y in range(6)]
+    pts = rng.sample(grid, n)
+    return validate_metric(
+        [f"p{i}" for i in range(n)],
+        [[F(abs(x - u) + abs(y - v), 3) for u, v in pts] for x, y in pts],
+    )
+
+
+def _assert_well_formed(curve):
+    segs = curve.segments
+    assert segs[0].lo == 0
+    assert segs[-1].hi == INF
+    for seg in segs:
+        assert seg.lo < seg.hi, seg
+        assert seg.slope in (-1, 0, 1), seg
+    for left, right in zip(segs, segs[1:]):
+        assert left.hi == right.lo
+        join = left.hi
+        assert left.slope * join + left.intercept == right.slope * join + right.intercept
+        assert (left.slope, left.intercept) != (right.slope, right.intercept)
+
+
+class TestOracleCurve:
+    """The oracle's lambda-curve against the formula at single lambdas."""
+
+    @staticmethod
+    def _spaces():
+        rng = random.Random(38)
+        for denominator in (2, 10, 1000):
+            for n in range(2, 10):
+                for _ in range(4):
+                    yield random_metric_space(rng, n, denominator)
+        for n in range(2, 10):
+            for _ in range(3):
+                yield _line_space(rng, n)
+                yield _taxicab_space(rng, n)
+
+    def test_equals_pointwise_formula(self):
+        rng = random.Random(39)
+        for space in self._spaces():
+            for m in range(1, space.n + 3):
+                curve = gh_oracle_curve(space, m)
+                _assert_well_formed(curve)
+                assert curve.case is None
+                cuts = curve.breakpoints
+                lams = set(cuts)
+                lams.update((x + y) / 2 for x, y in zip((F(0),) + cuts, cuts))
+                lams.update((cuts[-1] + 1 if cuts else F(1), 5 * diameter(space)))
+                lams.update(F(rng.randint(1, 500), rng.randint(1, 120)) for _ in range(16))
+                for lam in lams:
+                    expected = pointwise_oracle(space, m, lam)
+                    assert gh_oracle(space, m, lam) == expected, (space.dist, m, lam)
+                    assert curve.evaluate(lam) == expected
+
+    def test_single_point(self):
+        space = validate_metric(["p"], [[0]])
+        assert gh_oracle_curve(space, 1).segments == ((F(0), INF, 0, F(0)),)
+        assert gh_oracle_curve(space, 2).segments == ((F(0), INF, 1, F(0)),)
+
+    def test_no_empty_segment_where_the_line_meets_a_breakpoint(self):
+        # Three points at distance 1: every 2-block pair is (1, 1), so R is
+        # 1 up to lambda = 2 and diam - lambda = 1 - lambda never rises
+        # above it: the curve has no falling segment.
+        equilateral = validate_metric(["p", "q", "r"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert gh_oracle_curve(equilateral, 2).segments == (
+            (F(0), F(2), 0, F(1)),
+            (F(2), INF, 1, F(-1)),
+        )
+        # Points 0, 1, 3, 4 on a line: the extreme 2-block pair is
+        # {0, 1} | {3, 4}, alpha 2 and diam 1, so R turns at lambda = 3,
+        # exactly where 4 - lambda comes down to 1.
+        xs = (0, 1, 3, 4)
+        line = validate_metric(list("pqrs"), [[abs(x - y) for y in xs] for x in xs])
+        assert gh_oracle_curve(line, 2).segments == (
+            (F(0), F(3), -1, F(4)),
+            (F(3), INF, 1, F(-2)),
+        )
+
+    def test_invalid_m(self, e1_space):
+        with pytest.raises(InvalidM):
+            gh_oracle_curve(e1_space, 0)
