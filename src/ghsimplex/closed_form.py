@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
-    clique_cover_number,
+    chromatic_number,
     complement,
     connected_components,
 )
@@ -112,15 +111,14 @@ def classify_case_from_params(m: int, n: int, k: int, theta: int) -> GHCaseTag:
     return GHCaseTag.THETA_LE_M_LT_N
 
 
-# theta is the expensive ingredient; a lambda sweep asks for it over and
-# over on one graph, so a few recent graphs are all the memo must hold.
-# The exact solvers are deterministic: two threads that both miss compute
-# the same value.
-@lru_cache(maxsize=8)
+# theta is the expensive ingredient.  The graph keeps its components and
+# the coloring of its complement, so every m of a sweep, and a *_via_gh
+# route on a graph already colored, reads both without a second search.
 def graph_invariants(g: SimpleGraph) -> tuple[int, int]:
-    """(number of components, clique covering number), memoized by graph."""
+    """(number of components, clique covering number) of ``g``."""
     k, _ = connected_components(g)
-    theta, _ = clique_cover_number(g)
+    # theta(G) = chi(complement of G); no cover witness is needed here.
+    theta, _ = chromatic_number(complement(g))
     return k, theta
 
 

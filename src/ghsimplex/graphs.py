@@ -17,11 +17,22 @@ tests hold the search, node for node, to a per-node tuple scan.
 
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
+
+A graph keeps its exact answers: :func:`complement` builds the
+complement once and keeps it, and an unbudgeted :func:`chromatic_number`
+keeps its ``(chi, coloring)``.  So a graph is colored at most once,
+whichever route asks, and theta of a graph is read off the coloring
+kept on its complement.  The complement links back to its graph weakly,
+so it gives that same graph for as long as the graph lives, the pair
+forms no reference cycle, and both are freed with the graph.  A search
+under a ``node_limit`` reads and keeps nothing, so it runs, and aborts,
+exactly as on a fresh graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -39,6 +50,10 @@ class SimpleGraph:
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
+    # The answers kept on the graph: its components, its exact coloring
+    # and its complement (the graph itself, or a weak link on the
+    # complement that :func:`complement` built).
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -70,6 +85,11 @@ class SimpleGraph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
+
+    def __reduce__(self):
+        # A copy rebuilds its kept answers on demand; a weak link cannot
+        # be pickled.
+        return type(self), (self.n, self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -108,34 +128,49 @@ def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> SimpleGraph:
 def connected_components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     """Number of components and a vertex -> component-id labeling.
 
-    Component ids are assigned in order of each component's smallest vertex.
+    Component ids are assigned in order of each component's smallest
+    vertex.  The answer is kept on the graph.
     """
-    labels = [-1] * g.n
-    adj = g.neighbors
-    k = 0
-    for start in range(g.n):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = k
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if labels[w] == -1:
-                    labels[w] = k
-                    stack.append(w)
-        k += 1
-    return k, tuple(labels)
+    got = g._memo.get("components")
+    if got is None:
+        labels = [-1] * g.n
+        adj = g.neighbors
+        k = 0
+        for start in range(g.n):
+            if labels[start] != -1:
+                continue
+            stack = [start]
+            labels[start] = k
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if labels[w] == -1:
+                        labels[w] = k
+                        stack.append(w)
+            k += 1
+        got = g._memo["components"] = (k, tuple(labels))
+    return got
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
-    edges = set()
-    for u in range(g.n):
-        row = g.neighbors[u]
-        for v in range(u + 1, g.n):
-            if v not in row:
-                edges.add((u, v))
-    return SimpleGraph(g.n, frozenset(edges))
+    """The complement graph, built once and kept on ``g``.
+
+    The complement keeps a weak link back, so the complement of the
+    complement is ``g`` itself for as long as ``g`` lives.
+    """
+    link = g._memo.get("complement")
+    h = link() if isinstance(link, weakref.ref) else link
+    if h is None:
+        edges = set()
+        for u in range(g.n):
+            row = g.neighbors[u]
+            for v in range(u + 1, g.n):
+                if v not in row:
+                    edges.add((u, v))
+        h = SimpleGraph(g.n, frozenset(edges))
+        g._memo["complement"] = h
+        h._memo["complement"] = weakref.ref(g)
+    return h
 
 
 def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:
@@ -230,6 +265,26 @@ def chromatic_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number with a proper coloring witness.
 
+    Without ``node_limit`` the answer is kept on ``g`` and later calls
+    read it.  ``node_limit`` bounds the number of branching decisions;
+    exceeding it raises :class:`NodeLimitExceeded` instead of returning
+    an approximation.  A call with a limit always searches and keeps
+    nothing, so it gives the same answer, or aborts after the same
+    number of nodes, however often ``g`` was colored before.
+    """
+    if node_limit is not None:
+        return _color(g, node_limit)
+    # The kernel is deterministic: two threads that both miss keep the
+    # same answer.
+    got = g._memo.get("chromatic")
+    if got is None:
+        got = g._memo["chromatic"] = _color(g, None)
+    return got
+
+
+def _color(g: SimpleGraph, node_limit: Optional[int]) -> tuple[int, tuple[int, ...]]:
+    """The coloring search behind :func:`chromatic_number`.
+
     DSATUR-ordered branch-and-bound seeded with a greedy upper bound and a
     greedy-clique lower bound.  The clique vertices are pre-colored, which
     breaks color symmetry without affecting exactness.  Each node branches
@@ -238,9 +293,6 @@ def chromatic_number(
     per vertex (see :func:`_dsatur_keys`), raised or lowered by one step
     whenever a neighbor's color adds or removes a saturation bit, so
     choosing the vertex is one ``max`` over the uncolored set.
-    ``node_limit`` bounds the number of branching decisions; exceeding it
-    raises :class:`NodeLimitExceeded` instead of returning an
-    approximation.
     """
     n = g.n
     if n < 1:
@@ -392,7 +444,9 @@ def clique_cover_number(
     """Minimum clique partition via coloring the complement graph.
 
     Color classes of the complement are independent there, hence cliques
-    here; the witness is rebuilt in terms of the original graph.
+    here; the witness is rebuilt in terms of the original graph.  The
+    complement and its coloring are kept, so a second call does not
+    search again.
     """
     theta, coloring = chromatic_number(complement(g), node_limit=node_limit)
     cover = CliqueCover(_blocks_from_assignment(coloring))

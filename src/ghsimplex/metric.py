@@ -33,7 +33,7 @@ from .errors import (
     TriangleViolation,
 )
 from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
-from .graphs import CliqueCover, SimpleGraph, clique_cover_number
+from .graphs import CliqueCover, SimpleGraph, clique_cover_number, complement
 from .rationals import INF, RationalOrInf, exact
 
 
@@ -62,9 +62,6 @@ class FiniteMetricSpace:
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def off_diagonal_values(self) -> frozenset[Fraction]:
-        return frozenset(self.distances)
 
     @cached_property
     def distances(self) -> tuple[Fraction, ...]:
@@ -391,7 +388,10 @@ def two_distance_space_from_graph(
 
     The matrix goes through full validation, so a choice of ``a``/``b``
     that breaks the triangle inequality (``b > 2a`` with a non-cluster
-    graph) is rejected rather than silently accepted.
+    graph) is rejected rather than silently accepted.  The space's
+    minimal-distance graph is ``g`` itself (its complement when
+    ``a > b``), equal by construction, so answers kept on ``g`` serve
+    the space.
     """
     a, b = exact(a, "a"), exact(b, "b")
     n = g.n
@@ -401,4 +401,7 @@ def two_distance_space_from_graph(
         for j in range(i + 1, n):
             d = a if g.has_edge(i, j) else b
             matrix[i][j] = matrix[j][i] = d
-    return as_two_distance(validate_metric(ids, matrix))
+    tds = as_two_distance(validate_metric(ids, matrix))
+    # Seeds the cached ``graph`` property.
+    tds.__dict__["graph"] = g if a < b else complement(g)
+    return tds

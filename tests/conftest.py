@@ -61,6 +61,22 @@ def e2_space(e2_tds) -> FiniteMetricSpace:
     return e2_tds.base
 
 
+@pytest.fixture
+def color_searches(monkeypatch) -> list:
+    """The node limit of every coloring search run during the test."""
+    import ghsimplex.graphs as graphs
+
+    searches = []
+    real = graphs._color
+
+    def counting(g, node_limit):
+        searches.append(node_limit)
+        return real(g, node_limit)
+
+    monkeypatch.setattr(graphs, "_color", counting)
+    return searches
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return SimpleGraph(n, frozenset(edges))

@@ -213,7 +213,7 @@ def test_criterion_6_borsuk_duality_on_general_spaces():
         for n in range(3, 9):
             for _ in range(30):
                 space = random_metric_space(rng, n, denominator)
-                diam = max(space.off_diagonal_values())
+                diam = max(space.distances)
                 for m in range(1, n + 1):
                     by_search = any(
                         partition_diameter(space, p) < diam

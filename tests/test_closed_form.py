@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -21,6 +23,7 @@ from ghsimplex import (
     clique_cover_direct,
     clique_cover_number,
     clique_cover_via_gh,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -41,6 +44,7 @@ from ghsimplex import (
 from ghsimplex.closed_form import _case_pieces
 from conftest import (
     random_cluster_two_distance,
+    random_graph,
     random_metric_space,
     random_two_distance,
     random_usable_graph,
@@ -147,17 +151,26 @@ class TestTwoDistanceFormula:
             )
         assert all(v == expected for v in results)
 
-    def test_memo_stays_within_its_bound(self):
-        bound = graph_invariants.cache_info().maxsize
+    def test_memo_is_freed_with_the_graph(self):
+        """The answers kept on a graph and on its complement hold no
+        strong link back to the graph, and no module memo holds either:
+        both die with the last reference, without the cycle collector."""
         rng = random.Random(37)
-        seen = set()
-        while len(seen) < 3 * bound:
-            g = random_usable_graph(rng, 7)
-            seen.add(g)
-            k, theta = graph_invariants(g)
-            assert theta == clique_cover_direct(g)[0]
-            assert graph_invariants.cache_info().currsize <= bound
-        assert graph_invariants.cache_info().currsize == bound
+        gc.disable()
+        try:
+            for _ in range(5):
+                g = random_usable_graph(rng, 7)
+                chromatic_number(g)
+                clique_cover_number(g)
+                _, theta = graph_invariants(g)
+                assert theta == clique_cover_direct(g)[0]
+                chromatic_via_gh(g, F(1), F(3, 2))
+                clique_cover_via_gh(g, F(1), F(3, 2))
+                refs = weakref.ref(g), weakref.ref(complement(g))
+                del g
+                assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 def _assert_within_diameter_bounds(value, space, m, lam):
@@ -360,7 +373,7 @@ class TestBorsuk:
                 feasible, witness = borsuk_feasible(space, m)
                 if witness is not None:
                     assert partition_diameter(space, witness) < max(
-                        space.off_diagonal_values()
+                        space.distances
                     )
                 assert feasible == (witness is not None)
 
@@ -376,7 +389,6 @@ class TestBorsuk:
             borsuk_feasible(e1_space, 5)
 
     def test_decisions_share_one_cover_per_space(self, monkeypatch):
-        import ghsimplex.closed_form as closed_form
         import ghsimplex.metric as metric
 
         calls = []
@@ -387,7 +399,6 @@ class TestBorsuk:
             return real(g, *args, **kwargs)
 
         monkeypatch.setattr(metric, "clique_cover_number", counting)
-        monkeypatch.setattr(closed_form, "clique_cover_number", counting)
         space = random_metric_space(random.Random(46), 8, 2)
         first = [borsuk_feasible(space, m) for m in range(1, 9)]
         assert len(calls) == 1
@@ -442,6 +453,29 @@ class TestGraphNumbersViaGH:
             g = random_usable_graph(rng, rng.randint(3, 8))
             assert clique_cover_via_gh(g, F(2), F(3)) == clique_cover_direct(g)[0]
             assert chromatic_via_gh(g, F(2), F(3)) == chromatic_number(g)[0]
+
+    def test_each_graph_is_colored_once(self, color_searches):
+        """The four questions of a graph's report color it and its
+        complement once each; a sweep over every m colors once."""
+        rng = random.Random(48)
+        g = random_graph(rng, 20, 0.5)
+        answers = (
+            chromatic_number(g)[0],
+            clique_cover_number(g)[0],
+            chromatic_via_gh(g, F(1), F(3, 2)),
+            clique_cover_via_gh(g, F(1), F(3, 2)),
+        )
+        assert len(color_searches) == 2
+        direct_theta = clique_cover_direct(g)[0]
+        direct_chi = clique_cover_direct(complement(g))[0]
+        assert answers == (direct_chi, direct_theta, direct_chi, direct_theta)
+
+        color_searches.clear()
+        h = random_graph(rng, 20, 0.5)
+        tds = two_distance_space_from_graph(h, F(1), F(3, 2))
+        thetas = {gh_curve(tds, m).case.theta for m in range(1, h.n + 2)}
+        assert len(color_searches) == 1
+        assert thetas == {clique_cover_direct(h)[0]}
 
     def test_bad_parameters(self):
         g = cycle_graph(5)

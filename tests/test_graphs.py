@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -383,6 +386,66 @@ class TestSameSearchTree:
         where there is a search; most graphs above need one."""
         totals = [_total_nodes(_reference_chromatic, g) for g in _same_tree_graphs()]
         assert sum(t > 10 for t in totals) * 2 >= len(totals)
+
+
+class TestKeptAnswers:
+    """A graph keeps its complement and its exact coloring; a budgeted
+    search and a copy see none of it."""
+
+    @staticmethod
+    def _assert_copies_equal(g):
+        for x in (g, complement(g)):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+                assert y == x and complement(y) == complement(x)
+
+    def test_complement_of_complement_is_the_graph_while_it_lives(self):
+        g = random_graph(random.Random(4), 9)
+        h = complement(g)
+        assert complement(g) is h and complement(h) is g
+        edges, ref = g.edges, weakref.ref(g)
+        del g
+        assert ref() is None
+        # The weak link died with g: h builds an equal graph and keeps it.
+        again = complement(h)
+        assert again.edges == edges and complement(h) is again and complement(again) is h
+
+    @pytest.mark.parametrize("seed", [62, 63, 64])
+    def test_budget_ignores_kept_answers(self, seed, color_searches):
+        g = random_graph(random.Random(seed), 24, 0.5)
+        reference = _reference_chromatic(g)
+        total = _total_nodes(_reference_chromatic, g)
+        assert total > 0
+        on_fresh = _outcome(chromatic_number, SimpleGraph(g.n, g.edges), total - 1)
+        assert on_fresh == (total - 1, total - 1)
+
+        # An aborted search keeps nothing: the next unbudgeted call searches.
+        assert _outcome(chromatic_number, g, total - 1) == on_fresh
+        self._assert_copies_equal(g)
+        color_searches.clear()
+        assert chromatic_number(g) == reference
+        assert color_searches == [None]
+        self._assert_copies_equal(g)
+
+        # With the answer kept, a budgeted call still searches, and aborts
+        # after the same nodes or finishes with the same answer.
+        assert _outcome(chromatic_number, g, total - 1) == on_fresh
+        assert chromatic_number(g, node_limit=total) == reference
+        assert chromatic_number(g) == reference
+        assert color_searches == [None, total - 1, total]
+        self._assert_copies_equal(g)
+
+        cover_limit = _total_nodes(clique_cover_number, SimpleGraph(g.n, g.edges))
+        theta, cover = clique_cover_number(g)
+        assert theta == clique_cover_direct(g)[0] and cover_is_valid(g, cover)
+        self._assert_copies_equal(g)
+        if cover_limit:
+            assert _outcome(clique_cover_number, g, cover_limit - 1) == (
+                cover_limit - 1,
+                cover_limit - 1,
+            )
+        assert clique_cover_number(g, node_limit=cover_limit) == (theta, cover)
+        assert graph_invariants(g)[1] == theta
+        self._assert_copies_equal(g)
 
 
 class TestCliqueCover:

@@ -11,8 +11,10 @@ from ghsimplex import (
     NonPositiveOffDiagonal,
     NonZeroDiagonal,
     NotTwoDistance,
+    SimpleGraph,
     TriangleViolation,
     as_two_distance,
+    complement,
     cycle_graph,
     diameter,
     hausdorff_distance,
@@ -190,6 +192,33 @@ class TestMinDistanceGraph:
             tds = random_two_distance(rng)
             g = min_distance_graph(tds)
             assert 0 < g.edge_count < g.n * (g.n - 1) // 2
+
+    def test_graph_space_has_the_graph_it_was_built_from(self):
+        """The space built from a graph has that graph (its complement when
+        a > b) as its minimal-distance graph, equal to the graph its ranks
+        give; b > 2a on a non-cluster graph still fails validation."""
+        rng = random.Random(16)
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            g = random_usable_graph(rng, n)
+            labels = [f"q{i}" for i in range(n)] if rng.random() < 0.5 else None
+            ids = labels or [f"v{i}" for i in range(n)]
+            for a, b in ((F(1), F(3, 2)), (F(3, 2), F(1)), (F(2, 3), F(4, 3))):
+                tds = two_distance_space_from_graph(g, a, b, labels)
+                ranks = tds.base.ranks
+                rebuilt = SimpleGraph(
+                    n,
+                    frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ranks[i][j] == 0),
+                )
+                assert tds.graph == rebuilt
+                assert tds.graph is (g if a < b else complement(g))
+                assert list(tds.points) == ids
+            if not is_cluster_graph(g):
+                want = _outcome(_reference_validate, _two_valued_matrix(g, 1, 3))
+                assert want[0] is TriangleViolation
+                with pytest.raises(TriangleViolation) as err:
+                    two_distance_space_from_graph(g, 1, 3, ids)
+                assert err.value.indices == want[1]["indices"]
 
 
 def _two_valued_matrix(g, a, b):

@@ -137,7 +137,7 @@ class TestADSet:
         rng = random.Random(21)
         for _ in range(10):
             space = random_metric_space(rng, rng.randint(2, 7))
-            values = sorted(space.off_diagonal_values())
+            values = sorted(space.distances)
             assert ad_set(space, space.n) == frozenset({ADPoint(values[0], F(0))})
 
     def test_m1_is_infinite_alpha_and_diameter(self, e2_space):
@@ -402,7 +402,7 @@ class TestGHOracle:
         for _ in range(10):
             space = random_metric_space(rng, rng.randint(2, 7))
             lam = F(rng.randint(1, 40), 10)
-            smallest = min(space.off_diagonal_values())
+            smallest = min(space.distances)
             expected = max(diameter(space) - lam, lam - smallest)
             assert gh_oracle(space, space.n, lam) == expected
 
