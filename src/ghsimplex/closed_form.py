@@ -231,14 +231,17 @@ def _checked_graph_params(g: SimpleGraph, a: Fraction, b: Fraction) -> None:
 
 
 def _sweep_first_drop(tds: TwoDistanceSpace, lam: Fraction, b: Fraction) -> int:
-    """Smallest m whose distance value falls below b; the value is b up to
-    m-1 and non-increasing, so the sweep stops at the first drop."""
-    m = 1
-    while True:
-        value = gh_two_distance(tds, m, lam).value
-        if value != b:
-            return m
-        m += 1
+    """Smallest m whose distance value falls below b.  The value is b at
+    m = 1, below b at m = n (case M_EQ_N) and non-increasing in m, so a
+    bisection over [1, n] finds the drop from O(log n) curves."""
+    lo, hi = 1, tds.n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gh_two_distance(tds, mid, lam).value == b:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def clique_cover_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:

@@ -1,15 +1,19 @@
 """Finite metric spaces with exact rational distances.
 
 A :class:`FiniteMetricSpace` is an ordered list of opaque point ids plus a
-validated symmetric distance matrix of ``Fraction`` entries.
-:func:`validate_metric` checks the axioms on that matrix scaled by the
-least common multiple of its denominators, in plain int arithmetic.  A
-:class:`TwoDistanceSpace` specializes it to spaces whose off-diagonal
-distances take exactly two values ``a < b``; for those the graph of
-minimal distances drives everything downstream.
+validated symmetric distance matrix of ``Fraction`` entries.  Inside,
+it works on one int matrix: those entries times the least common
+multiple of their denominators.  :func:`validate_metric` checks every
+axiom on that matrix in plain int arithmetic and the space keeps it.
+The triangle scan meets third points only for the pairs farther apart
+than twice the smallest distance, since no other pair can break the
+inequality.  A :class:`TwoDistanceSpace` specializes it to spaces whose
+off-diagonal distances take exactly two values ``a < b``; for those the
+graph of minimal distances drives everything downstream.
 
-A space computes, once and on first use, its sorted distinct distances,
-the matrix of their integer ranks and its :class:`ThresholdTable`; these
+A space computes, once and on first use, its sorted distinct distances
+and the matrix of their integer ranks (both read off the int matrix)
+and its :class:`ThresholdTable`; these
 live on the (immutable) space object and are freed with it, so a lambda
 sweep, an extreme-set query or the Borsuk decisions for every m on one
 space pay for them once.
@@ -44,11 +48,16 @@ class ADPoint(NamedTuple):
     d: Fraction
 
 
-def _key(value: Fraction) -> tuple[int, int]:
-    """A dict key for an exact value.  Fractions are kept in lowest terms,
-    so equal values give equal keys, and a pair of ints hashes several
-    times faster than a ``Fraction`` does."""
-    return value.numerator, value.denominator
+def _scaled_ints(dist: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least common multiple of the denominators, and every entry
+    times it: an int matrix that orders and adds exactly as ``dist`` does."""
+    # Entries repeat (a two-distance space holds three objects), so each
+    # distinct object is scaled once.  Objects are keyed by id, which is
+    # far cheaper than hashing a Fraction; ``dist`` keeps them alive.
+    objects = {id(d): d for row in dist for d in row}
+    scale = math.lcm(*{d.denominator for d in objects.values()})
+    scaled = {k: d.numerator * (scale // d.denominator) for k, d in objects.items()}
+    return scale, tuple(tuple(map(scaled.__getitem__, map(id, row))) for row in dist)
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,18 @@ class FiniteMetricSpace:
         return self.dist[i][j]
 
     @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, ints)``, the one internal distance representation:
+        :func:`validate_metric` keeps the matrix it checked, and a space
+        built directly computes it on first use."""
+        return _scaled_ints(self.dist)
+
+    @cached_property
     def distances(self) -> tuple[Fraction, ...]:
         """The distinct off-diagonal distances, ascending."""
-        distinct = {_key(d): d for i, row in enumerate(self.dist) for d in row[i + 1 :]}
-        return tuple(sorted(distinct.values()))
+        scale, ints = self._scaled
+        distinct = set().union(*(row[i + 1 :] for i, row in enumerate(ints)))
+        return tuple(Fraction(d, scale) for d in sorted(distinct))
 
     @cached_property
     def ranks(self) -> tuple[tuple[int, ...], ...]:
@@ -76,13 +93,10 @@ class FiniteMetricSpace:
         Ranks order pairs exactly as the distances do, so the searches
         compare plain ints and never touch ``Fraction`` arithmetic.
         """
-        n = self.n
-        lookup = {_key(v): r for r, v in enumerate(self.distances)}
-        rank = [[0] * n for _ in range(n)]
-        for i, row in enumerate(self.dist):
-            for j in range(i + 1, n):
-                rank[i][j] = rank[j][i] = lookup[_key(row[j])]
-        return tuple(map(tuple, rank))
+        scale, ints = self._scaled
+        lookup = {d.numerator * (scale // d.denominator): r for r, d in enumerate(self.distances)}
+        lookup[0] = 0
+        return tuple(tuple(map(lookup.__getitem__, row)) for row in ints)
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
@@ -285,7 +299,14 @@ def validate_metric(
 
     The axioms are checked on one int matrix, each entry times the least
     common multiple of all denominators, so every sum and comparison is
-    exact int arithmetic; the space keeps the ``Fraction`` entries.
+    exact int arithmetic; the space keeps that matrix as its internal
+    distance representation, next to the ``Fraction`` entries.
+
+    Validation is full, but the triangle scan skips the pairs that cannot
+    break it: a violation ``d_ij > d_ik + d_kj`` needs ``d_ij`` above twice
+    the smallest distance, so only those pairs meet the third points.  On
+    a two-distance space with ``b <= 2a`` no pair does, and the check is
+    quadratic.
 
     Raises :class:`NonZeroDiagonal`, :class:`Asymmetric`,
     :class:`NonPositiveOffDiagonal` or :class:`TriangleViolation`, each
@@ -313,8 +334,7 @@ def validate_metric(
         )
         for i, row in enumerate(matrix)
     )
-    scale = math.lcm(*{d.denominator for row in dist for d in row})
-    ints = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
+    scale, ints = _scaled_ints(dist)
     for i in range(n):
         if ints[i][i] != 0:
             raise NonZeroDiagonal(i)
@@ -327,15 +347,23 @@ def validate_metric(
                 raise NonPositiveOffDiagonal(i, j)
     # With a zero diagonal and symmetry, the terms k = i and k = j of
     # min_k (d_ik + d_jk) are d_ij itself, so the minimum over every k is
-    # below d_ij exactly when some third point breaks the inequality.
+    # below d_ij exactly when some third point breaks the inequality; a
+    # third point adds two positive distances, so a pair at most twice
+    # the smallest one never does.
+    cut = 2 * min((min(ints[i][i + 1 :]) for i in range(n - 1)), default=0)
     for i in range(n):
         row_i = ints[i]
         for j in range(i + 1, n):
-            bound, row_j = row_i[j], ints[j]
-            if bound > min(map(add, row_i, row_j)):
-                k = next(k for k in range(n) if bound > row_i[k] + row_j[k])
-                raise TriangleViolation(i, j, k)
-    return FiniteMetricSpace(ids, dist)
+            bound = row_i[j]
+            if bound > cut:
+                row_j = ints[j]
+                if bound > min(map(add, row_i, row_j)):
+                    k = next(k for k in range(n) if bound > row_i[k] + row_j[k])
+                    raise TriangleViolation(i, j, k)
+    space = FiniteMetricSpace(ids, dist)
+    # Seeds the cached ``_scaled`` property.
+    space.__dict__["_scaled"] = scale, ints
+    return space
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
@@ -388,19 +416,25 @@ def two_distance_space_from_graph(
 
     The matrix goes through full validation, so a choice of ``a``/``b``
     that breaks the triangle inequality (``b > 2a`` with a non-cluster
-    graph) is rejected rather than silently accepted.  The space's
-    minimal-distance graph is ``g`` itself (its complement when
-    ``a > b``), equal by construction, so answers kept on ``g`` serve
-    the space.
+    graph) is rejected rather than silently accepted.  For ``b <= 2a``
+    no pair can break it, so the check skips every third point and the
+    space costs O(n^2); it keeps the checked int matrix for its
+    distances and ranks.  The space's minimal-distance graph is ``g``
+    itself (its complement when ``a > b``), equal by construction, so
+    answers kept on ``g`` serve the space.
     """
     a, b = exact(a, "a"), exact(b, "b")
     n = g.n
     ids = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = a if g.has_edge(i, j) else b
-            matrix[i][j] = matrix[j][i] = d
+    # Row i spells out i's neighbourhood mask, bit j first: a for a
+    # neighbour, b otherwise.
+    pick = {"1": a, "0": b}.__getitem__
+    zero = Fraction(0)
+    matrix = []
+    for i, bits in enumerate(g.adjacency_bits):
+        row = list(map(pick, f"{bits:0{n}b}"[::-1]))
+        row[i] = zero
+        matrix.append(row)
     tds = as_two_distance(validate_metric(ids, matrix))
     # Seeds the cached ``graph`` property.
     tds.__dict__["graph"] = g if a < b else complement(g)

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,7 @@ from ghsimplex import (
 )
 from ghsimplex.closed_form import _case_pieces
 from conftest import (
+    all_graphs,
     random_cluster_two_distance,
     random_graph,
     random_metric_space,
@@ -476,6 +478,43 @@ class TestGraphNumbersViaGH:
         thetas = {gh_curve(tds, m).case.theta for m in range(1, h.n + 2)}
         assert len(color_searches) == 1
         assert thetas == {clique_cover_direct(h)[0]}
+
+    def test_bisected_drop_matches_the_direct_solvers(self):
+        """Every graph of order 5 that the routes accept, and seeded
+        G(n, p) up to n = 40: the drop the bisection finds is theta, and
+        chi on the complement's side."""
+        graphs = [g for g in all_graphs(5) if not (g.is_complete() or g.is_edgeless())]
+        rng = random.Random(52)
+        graphs += [
+            random_usable_graph(rng, n, p) for n in (6, 11, 17, 24, 32, 40) for p in (0.2, 0.5, 0.8)
+        ]
+        for g in graphs:
+            for a, b in ((F(1), F(3, 2)), (F(2), F(3)), (F(1, 3), F(2, 3))):
+                assert clique_cover_via_gh(g, a, b) == clique_cover_number(g)[0]
+                assert chromatic_via_gh(g, a, b) == chromatic_number(g)[0]
+
+    def test_drop_takes_logarithmically_many_curves(self, monkeypatch):
+        """A route asks for at most ceil(log2 n) + 1 distance values; a
+        scan upward from m = 1 asks for theta of them."""
+        import ghsimplex.closed_form as closed_form
+
+        asked = []
+        real = closed_form.gh_two_distance
+
+        def counting(tds, m, lam):
+            asked.append(m)
+            return real(tds, m, lam)
+
+        monkeypatch.setattr(closed_form, "gh_two_distance", counting)
+        g = random_graph(random.Random(54), 40, 0.2)
+        theta = clique_cover_number(g)[0]
+        assert theta >= 8
+        bound = math.ceil(math.log2(g.n)) + 1
+        assert clique_cover_via_gh(g, F(1), F(3, 2)) == theta
+        assert len(asked) <= bound
+        asked.clear()
+        assert chromatic_via_gh(complement(g), F(1), F(3, 2)) == theta
+        assert len(asked) <= bound
 
     def test_bad_parameters(self):
         g = cycle_graph(5)

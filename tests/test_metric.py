@@ -1,3 +1,5 @@
+import copy as copy_module
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -26,6 +28,8 @@ from ghsimplex import (
 from ghsimplex.rationals import exact
 from conftest import (
     all_graphs,
+    random_cluster_two_distance,
+    random_graph,
     random_metric_space,
     random_two_distance,
     random_usable_graph,
@@ -415,6 +419,156 @@ class TestIntCheckMatchesReference:
             assert err.value.indices == want[1]["indices"]
             tds = two_distance_space_from_graph(g, a, F(4, 3), ids)
             assert tds.base == _reference_validate(ids, _two_valued_matrix(g, a, F(4, 3)))
+
+    def test_cluster_spaces_with_one_broken_pair(self):
+        """b > 2a: every cross pair meets the third points.  Joining two
+        clusters by one close pair, or parting one cluster by one far
+        pair, breaks the inequality exactly where the reference says."""
+        rng = random.Random(53)
+        kinds = set()
+        for _ in range(60):
+            tds = random_cluster_two_distance(rng, 4, 10)
+            base = [list(row) for row in tds.base.dist]
+            assert isinstance(_assert_same_as_reference(base), FiniteMetricSpace)
+            n = tds.n
+            i, j = sorted(rng.sample(range(n), 2))
+            matrix = [row[:] for row in base]
+            _set(matrix, i, j, tds.a if matrix[i][j] == tds.b else tds.b)
+            got = _assert_same_as_reference(matrix)
+            kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        assert kinds == {"ok", TriangleViolation}
+
+    def test_pair_at_exactly_twice_the_smallest_is_accepted(self):
+        """d_ij = 2 min with d_ik = d_kj = min is a collinear triple: the
+        pruned scan skips the pair, and the reference accepts it too."""
+        rng = random.Random(59)
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            low = F(rng.randint(1, 9), rng.choice([1, 2, 10, 1000]))
+            matrix = [[F(0)] * n for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    _set(matrix, u, v, low * F(rng.randint(1000, 2000), 1000))
+            i, j, k = rng.sample(range(n), 3)
+            _set(matrix, i, k, low)
+            _set(matrix, j, k, low)
+            _set(matrix, i, j, 2 * low)
+            assert isinstance(_assert_same_as_reference(matrix), FiniteMetricSpace)
+
+    def test_violators_just_above_twice_the_smallest(self):
+        """The smallest distance sits on a pair apart from the violator,
+        which exceeds twice it by three grid steps, the least it can when
+        its two other sides are each a step above the smallest.  Entries
+        up to 2 min break nothing, so the violator is the only pair the
+        scan must reach, and the reference names the same triple."""
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(4, 12)
+            grid = rng.choice([10, 1000])
+            step = F(1, grid)
+            low = F(rng.randint(1, 3))
+            matrix = [[F(0)] * n for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    _set(matrix, u, v, low + step * rng.randint(1, int(low * grid)))
+            i, j, u, v = rng.sample(range(n), 4)
+            _set(matrix, u, v, low)
+            close = low + step
+            for w in rng.sample([w for w in range(n) if w not in (i, j)], rng.randint(1, 2)):
+                _set(matrix, i, w, close)
+                _set(matrix, j, w, close)
+            _set(matrix, i, j, 2 * close + step)
+            got = _assert_same_as_reference(matrix)
+            assert got[0] is TriangleViolation
+            assert matrix[i][j] > 2 * low
+
+
+def test_pruned_scan_meets_no_third_point_for_b_at_most_2a(monkeypatch):
+    """The triangle scan adds nothing for a graph space with b <= 2a: no
+    pair is farther apart than twice the smallest distance.  With b > 2a
+    on a cluster graph the far pairs are scanned."""
+    import ghsimplex.metric as metric
+
+    sums = []
+
+    def counting(x, y):
+        sums.append(1)
+        return x + y
+
+    monkeypatch.setattr(metric, "add", counting)
+    g = random_graph(random.Random(67), 45, 0.5)
+    tds = two_distance_space_from_graph(g, 1, F(3, 2))
+    assert sums == []
+    assert tds.graph is g
+    cluster = random_cluster_two_distance(random.Random(71), 8, 12)
+    two_distance_space_from_graph(cluster.graph, 1, 3)
+    assert sums
+
+
+def _reference_distances_and_ranks(space):
+    """Sorted distinct ``dist`` values, and each entry's index among them,
+    keyed by the ``Fraction`` values themselves."""
+    values = sorted({d for i, row in enumerate(space.dist) for d in row[i + 1 :]})
+    index = {v: r for r, v in enumerate(values)}
+    ranks = tuple(
+        tuple(0 if i == j else index[d] for j, d in enumerate(row))
+        for i, row in enumerate(space.dist)
+    )
+    return tuple(values), ranks
+
+
+def _assert_distances_and_ranks(space):
+    assert (space.distances, space.ranks) == _reference_distances_and_ranks(space)
+    assert all(type(d) is F for d in space.distances)
+
+
+class TestIntDistancesAndRanks:
+    """``distances`` and ``ranks`` come from the kept int matrix; they must
+    equal the ``Fraction``-keyed reference on every kind of space."""
+
+    @pytest.mark.parametrize("denominator", [2, 10, 1000])
+    def test_random_spaces(self, denominator):
+        rng = random.Random(73 + denominator)
+        for n in range(1, 14):
+            _assert_distances_and_ranks(random_metric_space(rng, n, denominator))
+
+    def test_int_str_and_fraction_inputs(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            n = rng.randint(2, 9)
+            matrix = [list(row) for row in random_metric_space(rng, n, 4).dist]
+            ids = [f"p{i}" for i in range(n)]
+            as_int = [[int(4 * d) for d in row] for row in matrix]
+            as_str = [[str(d) for d in row] for row in matrix]
+            spaces = [validate_metric(ids, m) for m in (matrix, as_int, as_str)]
+            for space in spaces:
+                _assert_distances_and_ranks(space)
+            assert spaces[0] == spaces[2]
+            assert spaces[0].ranks == spaces[1].ranks == spaces[2].ranks
+            assert spaces[1].distances == tuple(4 * d for d in spaces[0].distances)
+
+    def test_space_built_directly_takes_the_lazy_path(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            checked = random_metric_space(rng, n, rng.choice([2, 10, 1000]))
+            direct = FiniteMetricSpace(checked.points, checked.dist)
+            assert "_scaled" not in direct.__dict__
+            _assert_distances_and_ranks(direct)
+            assert direct._scaled == checked._scaled
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        rng = random.Random(89)
+        spaces = [random_metric_space(rng, 9, 1000), random_two_distance(rng, 5, 12).base]
+        spaces.append(FiniteMetricSpace(spaces[0].points, spaces[0].dist))
+        for space in spaces:
+            for copy in (pickle.loads(pickle.dumps(space)), copy_module.deepcopy(space)):
+                assert copy == space
+                _assert_distances_and_ranks(copy)
+            space.ranks
+            for copy in (pickle.loads(pickle.dumps(space)), copy_module.deepcopy(space)):
+                _assert_distances_and_ranks(copy)
+                assert copy._scaled == space._scaled
 
 
 def test_int_check_adds_no_fractions(monkeypatch):
