@@ -1,20 +1,20 @@
 """Finite metric spaces with exact rational distances.
 
-A :class:`FiniteMetricSpace` is an ordered list of opaque point ids plus a
-validated symmetric distance matrix of ``Fraction`` entries.  Inside,
-it works on one int matrix: those entries times the least common
-multiple of their denominators.  :func:`validate_metric` checks every
-axiom on that matrix in plain int arithmetic and the space keeps it.
-The triangle scan meets third points only for the pairs farther apart
-than twice the smallest distance, since no other pair can break the
-inequality.  A :class:`TwoDistanceSpace` specializes it to spaces whose
-off-diagonal distances take exactly two values ``a < b``; for those the
-graph of minimal distances drives everything downstream.
+A :class:`FiniteMetricSpace` is an ordered list of opaque point ids plus
+one validated symmetric int matrix: every distance times ``scale``, the
+least common multiple of the denominators.  Ints order and add exactly
+as the distances do, so :func:`validate_metric` checks every axiom on
+that matrix in int arithmetic, and the threshold table, the enumeration
+scan and the minimal-distance graph compare its entries.  The triangle
+scan meets third points only for the pairs farther apart than twice the
+smallest distance, since no other pair can break the inequality.  A
+:class:`TwoDistanceSpace` specializes it to spaces whose off-diagonal
+distances take exactly two values ``a < b``; for those the graph of
+minimal distances drives everything downstream.
 
-A space computes, once and on first use, its sorted distinct distances
-and the matrix of their integer ranks (both read off the int matrix)
-and its :class:`ThresholdTable`; these
-live on the (immutable) space object and are freed with it, so a lambda
+A space computes, once and on first use, its sorted distinct distances,
+the ``Fraction`` view ``dist`` and its :class:`ThresholdTable`; these live
+on the (immutable) space object and are freed with it, so a lambda
 sweep, an extreme-set query or the Borsuk decisions for every m on one
 space pay for them once.
 """
@@ -48,61 +48,62 @@ class ADPoint(NamedTuple):
     d: Fraction
 
 
-def _scaled_ints(dist: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The least common multiple of the denominators, and every entry
-    times it: an int matrix that orders and adds exactly as ``dist`` does."""
+def _scaled_ints(matrix: Sequence[Sequence[object]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least common multiple of the entries' denominators, and every
+    entry times it: an int matrix that orders and adds exactly as the
+    entries do.  :func:`exact` names the first entry it rejects."""
     # Entries repeat (a two-distance space holds three objects), so each
-    # distinct object is scaled once.  Objects are keyed by id, which is
-    # far cheaper than hashing a Fraction; ``dist`` keeps them alive.
-    objects = {id(d): d for row in dist for d in row}
-    scale = math.lcm(*{d.denominator for d in objects.values()})
-    scaled = {k: d.numerator * (scale // d.denominator) for k, d in objects.items()}
-    return scale, tuple(tuple(map(scaled.__getitem__, map(id, row))) for row in dist)
+    # distinct object is converted and scaled once, keyed by id (far
+    # cheaper than hashing a Fraction; ``rows`` keeps them alive) in row
+    # order, so a rejected one is named where it first appears.
+    rows = tuple(map(tuple, matrix))
+    objects = {id(d): d for row in rows for d in row}
+    exacts = {}
+    for k, d in objects.items():
+        try:
+            exacts[k] = exact(d, "")
+        except (TypeError, ValueError):
+            i, j = next((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e is d)
+            exact(d, f"dist[{i}][{j}]")
+    scale = math.lcm(*{d.denominator for d in exacts.values()})
+    scaled = {k: d.numerator * (scale // d.denominator) for k, d in exacts.items()}
+    return scale, tuple(tuple(map(scaled.__getitem__, map(id, row))) for row in rows)
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
+    """Point ids and one int matrix, ``ints[i][j] = d(i, j) * scale`` with
+    ``scale`` the lcm of the denominators: equal spaces have equal fields."""
+
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    ints: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return Fraction(self.ints[i][j], self.scale)
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(scale, ints)``, the one internal distance representation:
-        :func:`validate_metric` keeps the matrix it checked, and a space
-        built directly computes it on first use."""
-        return _scaled_ints(self.dist)
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as ``Fraction`` entries, one object per distinct value."""
+        scale = self.scale
+        values = {d: Fraction(d, scale) for d in set().union(*self.ints)}
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.ints)
 
     @cached_property
     def distances(self) -> tuple[Fraction, ...]:
         """The distinct off-diagonal distances, ascending."""
-        scale, ints = self._scaled
-        distinct = set().union(*(row[i + 1 :] for i, row in enumerate(ints)))
-        return tuple(Fraction(d, scale) for d in sorted(distinct))
-
-    @cached_property
-    def ranks(self) -> tuple[tuple[int, ...], ...]:
-        """``dist[i][j]`` as its index in :attr:`distances`; 0 on the diagonal.
-
-        Ranks order pairs exactly as the distances do, so the searches
-        compare plain ints and never touch ``Fraction`` arithmetic.
-        """
-        scale, ints = self._scaled
-        lookup = {d.numerator * (scale // d.denominator): r for r, d in enumerate(self.distances)}
-        lookup[0] = 0
-        return tuple(tuple(map(lookup.__getitem__, row)) for row in ints)
+        distinct = set().union(*(row[i + 1 :] for i, row in enumerate(self.ints)))
+        return tuple(Fraction(d, self.scale) for d in sorted(distinct))
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
         """The threshold-graph structure the partition oracle, the
         extreme-set query and the Borsuk decision read."""
-        return ThresholdTable(self.ranks, self.distances)
+        return ThresholdTable(self.ints, self.scale, self.distances)
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,10 @@ class TwoDistanceSpace:
     def graph(self) -> SimpleGraph:
         """The minimal-distance graph: edges exactly the pairs at distance ``a``."""
         n = self.n
-        ranks = self.base.ranks
+        ints = self.base.ints
+        low = int(self.a * self.base.scale)
         return SimpleGraph(
-            n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ranks[i][j] == 0)
+            n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ints[i][j] == low)
         )
 
     @cached_property
@@ -141,7 +143,8 @@ class ThresholdTable:
 
     Write ``v_0 < ... < v_{r-1}`` for the distinct distances and index a
     separation bound ``at = v_i`` by ``i`` and a diameter bound ``dt = v_j``
-    by ``j``, with ``j = -1`` standing for ``dt = 0``.  An m-block
+    by ``j``, with ``j = -1`` standing for ``dt = 0``.  The table compares
+    the space's int matrix against the matching distinct ints.  An m-block
     partition with ``alpha >= at`` and ``diam <= dt`` exists iff
 
     * every component of ``G_{<at}`` (the pairs closer than ``at``) has
@@ -163,22 +166,25 @@ class ThresholdTable:
     lambda-curves they fix (per m) are computed on first use and kept.
     """
 
-    def __init__(self, ranks: Sequence[Sequence[int]], values: Sequence[Fraction]) -> None:
-        self._ranks = ranks
+    def __init__(self, ints: Sequence[Sequence[int]], scale: int, values: Sequence[Fraction]) -> None:
+        self._ints = ints
         self._values = values
+        # v_j on the int matrix's scale, then 0 for ``j = -1``.
+        self._steps = [v.numerator * (scale // v.denominator) for v in values] + [0]
         self._levels: dict[int, tuple[int, int, list[list[int]]]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
         self._corners: dict[int, frozenset[ADPoint]] = {}
         self._curves: dict[int, PiecewiseLinearCurve] = {}
 
     def _level(self, i: int) -> tuple[int, int, list[list[int]]]:
-        """Components of ``G_{<v_i}``: their number, the largest rank inside
-        one (-1 when all are single points) and the largest rank between
-        each pair of them."""
+        """Components of ``G_{<v_i}``: their number, the largest int distance
+        inside one (0 when all are single points) and the largest int
+        distance between each pair of them."""
         got = self._levels.get(i)
         if got is None:
-            ranks = self._ranks
-            n = len(ranks)
+            ints = self._ints
+            below = self._steps[i]
+            n = len(ints)
             label = [-1] * n
             k = 0
             for start in range(n):
@@ -188,25 +194,25 @@ class ThresholdTable:
                 stack = [start]
                 while stack:
                     u = stack.pop()
-                    row = ranks[u]
+                    row = ints[u]
                     for w in range(n):
-                        if label[w] == -1 and row[w] < i:
+                        if label[w] == -1 and row[w] < below:
                             label[w] = k
                             stack.append(w)
                 k += 1
-            inner = -1
-            cross = [[-1] * k for _ in range(k)]
+            inner = 0
+            cross = [[0] * k for _ in range(k)]
             for u in range(n):
                 cu = label[u]
-                row = ranks[u]
+                row = ints[u]
                 for w in range(u + 1, n):
                     cw = label[w]
-                    rk = row[w]
+                    d = row[w]
                     if cu == cw:
-                        if rk > inner:
-                            inner = rk
-                    elif rk > cross[cu][cw]:
-                        cross[cu][cw] = cross[cw][cu] = rk
+                        if d > inner:
+                            inner = d
+                    elif d > cross[cu][cw]:
+                        cross[cu][cw] = cross[cw][cu] = d
             got = self._levels[i] = (k, inner, cross)
         return got
 
@@ -216,8 +222,9 @@ class ThresholdTable:
         got = self._covers.get((i, j))
         if got is None:
             k, _, cross = self._level(i)
+            top = self._steps[j]
             edges = frozenset(
-                (c, d) for c in range(k) for d in range(c + 1, k) if cross[c][d] <= j
+                (c, d) for c in range(k) for d in range(c + 1, k) if cross[c][d] <= top
             )
             _, got = clique_cover_number(SimpleGraph(k, edges))
             self._covers[(i, j)] = got
@@ -226,7 +233,7 @@ class ThresholdTable:
     def feasible(self, i: int, j: int, m: int) -> bool:
         """Is there an m-block partition with ``alpha >= v_i`` and ``diam <= v_j``?"""
         k, inner, _ = self._level(i)
-        return m <= k and inner <= j and self.cover(i, j).size <= m
+        return m <= k and inner <= self._steps[j] and self.cover(i, j).size <= m
 
     def _value(self, j: int) -> Fraction:
         return self._values[j] if j >= 0 else Fraction(0)
@@ -263,7 +270,7 @@ class ThresholdTable:
         """2 d_GH(lambda simplex_m, X) as a function of lambda, for m >= 1:
         max(diam X - lambda, R) with R the minimum over the corners c of
         max(d_c, lambda - alpha_c), and R = lambda for every m > n."""
-        n = len(self._ranks)
+        n = len(self._ints)
         m = min(m, n + 1)
         got = self._curves.get(m)
         if got is None:
@@ -299,8 +306,9 @@ def validate_metric(
 
     The axioms are checked on one int matrix, each entry times the least
     common multiple of all denominators, so every sum and comparison is
-    exact int arithmetic; the space keeps that matrix as its internal
-    distance representation, next to the ``Fraction`` entries.
+    exact int arithmetic.  The space keeps that matrix and its scale as
+    its one distance representation; ``dist`` is a ``Fraction`` view of
+    it, built on first use.
 
     Validation is full, but the triangle scan skips the pairs that cannot
     break it: a violation ``d_ij > d_ik + d_kj`` needs ``d_ij`` above twice
@@ -321,20 +329,7 @@ def validate_metric(
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n}x{n} to match the point list")
 
-    # ``exact`` (and the entry name it reports) is reached only for a type
-    # other than int or Fraction, to accept it or to raise its TypeError.
-    # Each distinct int becomes a Fraction once.
-    as_fraction = {d: Fraction(d) for d in {d for row in matrix for d in row if type(d) is int}}
-    dist = tuple(
-        tuple(
-            d if type(d) is Fraction
-            else as_fraction[d] if type(d) is int
-            else exact(d, f"dist[{i}][{j}]")
-            for j, d in enumerate(row)
-        )
-        for i, row in enumerate(matrix)
-    )
-    scale, ints = _scaled_ints(dist)
+    scale, ints = _scaled_ints(matrix)
     for i in range(n):
         if ints[i][i] != 0:
             raise NonZeroDiagonal(i)
@@ -360,10 +355,7 @@ def validate_metric(
                 if bound > min(map(add, row_i, row_j)):
                     k = next(k for k in range(n) if bound > row_i[k] + row_j[k])
                     raise TriangleViolation(i, j, k)
-    space = FiniteMetricSpace(ids, dist)
-    # Seeds the cached ``_scaled`` property.
-    space.__dict__["_scaled"] = scale, ints
-    return space
+    return FiniteMetricSpace(ids, scale, ints)
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
@@ -393,12 +385,15 @@ def hausdorff_distance(
     sb = sorted(set(subset_b))
     if not sa or not sb:
         raise EmptySubset("Hausdorff distance needs two non-empty subsets")
-    dist = space.dist
+    for v in sa + sb:
+        if not 0 <= v < space.n:
+            raise ValueError(f"index {v!r} is not a point of 0..{space.n - 1}")
+    ints = space.ints
 
-    def one_sided(src: list[int], dst: list[int]) -> Fraction:
-        return max(min(dist[i][j] for j in dst) for i in src)
+    def one_sided(src: list[int], dst: list[int]) -> int:
+        return max(min(ints[i][j] for j in dst) for i in src)
 
-    return max(one_sided(sa, sb), one_sided(sb, sa))
+    return Fraction(max(one_sided(sa, sb), one_sided(sb, sa)), space.scale)
 
 
 def min_distance_graph(tds: TwoDistanceSpace) -> SimpleGraph:
@@ -418,8 +413,8 @@ def two_distance_space_from_graph(
     that breaks the triangle inequality (``b > 2a`` with a non-cluster
     graph) is rejected rather than silently accepted.  For ``b <= 2a``
     no pair can break it, so the check skips every third point and the
-    space costs O(n^2); it keeps the checked int matrix for its
-    distances and ranks.  The space's minimal-distance graph is ``g``
+    space costs O(n^2); it keeps the checked int matrix as its one
+    distance representation.  The space's minimal-distance graph is ``g``
     itself (its complement when ``a > b``), equal by construction, so
     answers kept on ``g`` serve the space.
     """

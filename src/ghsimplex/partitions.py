@@ -26,10 +26,10 @@ The enumeration route stays as the independent reference:
 :func:`enumerate_partitions` streams the partitions in lexicographic
 restricted-growth-string order, and :func:`ad_set` collects every
 (alpha, diam) pair with the statistics carried incrementally down the
-recursion over integer distance ranks.  The recursion places the free
-elements in order of their smallest rank to any other point and cuts a
-subtree as soon as no pair still to be placed can lower its separation
-or raise its diameter: the whole subtree then has one pair.  A scan may
+recursion over the space's int distance matrix.  The recursion places
+the free elements in order of their smallest distance to any other point
+and cuts a subtree as soon as no pair still to be placed can lower its
+separation or raise its diameter: the whole subtree then has one pair.  A scan may
 be restricted to the subtree under a fixed assignment of the first
 elements, which is how work is split across processes; merged results
 are identical to a sequential scan.  The tests hold the threshold route
@@ -185,9 +185,9 @@ def partition_alpha(space: FiniteMetricSpace, part: Partition) -> RationalOrInf:
 
 
 def _prefix_state(
-    prefix: Sequence[int], rank: Sequence[Sequence[int]], m: int, n: int, big: int
+    prefix: Sequence[int], ints: Sequence[Sequence[int]], m: int, n: int, big: int
 ) -> tuple[int, int, int]:
-    """used blocks, diameter rank and separation rank of a partial assignment."""
+    """used blocks, diameter and separation (as ints) of a partial assignment."""
     if not prefix or prefix[0] != 0:
         raise ValueError("a scan prefix must start with block 0")
     used = 0
@@ -197,62 +197,63 @@ def _prefix_state(
         if v >= m:
             raise ValueError(f"prefix uses more than m={m} blocks")
         used = max(used, v + 1)
-    d_cur = -1
+    d_cur = 0
     a_cur = big
     for i in range(len(prefix)):
         for j in range(i):
-            r = rank[i][j]
+            d = ints[i][j]
             if prefix[i] == prefix[j]:
-                if r > d_cur:
-                    d_cur = r
-            elif r < a_cur:
-                a_cur = r
+                if d > d_cur:
+                    d_cur = d
+            elif d < a_cur:
+                a_cur = d
     if used + (n - len(prefix)) < m:
         raise ValueError("prefix cannot be completed to m blocks")
     return used, d_cur, a_cur
 
 
 def _scan_pairs(
-    rank: Sequence[Sequence[int]],
+    ints: Sequence[Sequence[int]],
     n: int,
     m: int,
     prefix: Optional[Sequence[int]] = None,
 ) -> set[tuple[int, int]]:
-    """Set of (separation rank, diameter rank) over the scanned partitions.
+    """Set of (separation, diameter) over the scanned partitions, as
+    entries of the int distance matrix ``ints``.
 
-    Rank -1 stands for an all-singleton diameter (0); rank ``n*n`` stands
-    for the empty separation infimum (+infinity, one block only).
+    An all-singleton diameter is 0, the diagonal; the empty separation
+    infimum (+infinity, one block only) is the largest entry plus one.
 
     The free elements (those after the prefix) are scanned in order of
-    their smallest rank to any other point, ties by index.  The set of
+    their smallest distance to any other point, ties by index.  The set of
     pairs does not depend on labels, and the prefix elements keep their
     places, so a prefix names the same partitions as before.
-    A node whose separation is already at most every rank still to be
-    placed, and whose diameter is already at least every such rank,
+    A node whose separation is already at most every distance still to
+    be placed, and whose diameter is already at least every such one,
     yields its pair without descending: every node has a completion, and
     none can lower the one or raise the other.
     """
-    big = n * n
+    big = max(map(max, ints)) + 1
     out: set[tuple[int, int]] = set()
     if prefix is None:
         prefix = (0,)
-    used0, d0, a0 = _prefix_state(prefix, rank, m, n, big)
+    used0, d0, a0 = _prefix_state(prefix, ints, m, n, big)
     start = len(prefix)
     if start == n:
         if used0 == m:
             out.add((a0, d0))
         return out
     order = list(range(start)) + sorted(
-        range(start, n), key=lambda v: min(rank[v][:v] + rank[v][v + 1 :])
+        range(start, n), key=lambda v: min(ints[v][:v] + ints[v][v + 1 :])
     )
-    rank = [[rank[u][v] for v in order] for u in order]
-    # floor[i] / ceil[i]: smallest / largest rank of a pair whose larger
-    # element is >= i, that is, of a pair not yet placed at node i.
+    ints = [[ints[u][v] for v in order] for u in order]
+    # floor[i] / ceil[i]: smallest / largest distance of a pair whose
+    # larger element is >= i, that is, of a pair not yet placed at node i.
     floor = [big] * n
-    ceil = [-1] * n
-    lo, hi = big, -1
+    ceil = [0] * n
+    lo, hi = big, 0
     for i in range(n - 1, 0, -1):
-        row = rank[i][:i]
+        row = ints[i][:i]
         lo = min(lo, min(row))
         hi = max(hi, max(row))
         floor[i] = lo
@@ -264,16 +265,16 @@ def _scan_pairs(
         if a_cur <= floor[i] and d_cur >= ceil[i]:
             out.add((a_cur, d_cur))
             return
-        row = rank[i]
+        row = ints[i]
         bmax = [0] * used
         bmin = [big] * used
         for j in range(i):
             v = assign[j]
-            r = row[j]
-            if r > bmax[v]:
-                bmax[v] = r
-            if r < bmin[v]:
-                bmin[v] = r
+            d = row[j]
+            if d > bmax[v]:
+                bmax[v] = d
+            if d < bmin[v]:
+                bmin[v] = d
         # Two smallest per-block minima give min-over-other-blocks in O(1).
         m1 = big
         m2 = big
@@ -319,14 +320,14 @@ def _scan_pairs(
 
 
 def _pairs_to_points(
-    pairs: Iterable[tuple[int, int]], values: Sequence[Fraction], big: int
+    pairs: Iterable[tuple[int, int]], space: FiniteMetricSpace
 ) -> frozenset[ADPoint]:
-    out = set()
-    for a, d in pairs:
-        alpha: RationalOrInf = INF if a >= big else values[a]
-        dval = Fraction(0) if d < 0 else values[d]
-        out.add(ADPoint(alpha, dval))
-    return frozenset(out)
+    # Each int distance as its ``distances`` entry, and 0 for an
+    # all-singleton diameter; only the empty separation is missing.
+    scale = space.scale
+    value = {d.numerator * (scale // d.denominator): d for d in space.distances}
+    value[0] = Fraction(0)
+    return frozenset(ADPoint(value.get(a, INF), value[d]) for a, d in pairs)
 
 
 def ad_set(
@@ -342,8 +343,7 @@ def ad_set(
     n = space.n
     if m < 1 or m > n:
         raise InvalidM(m, n)
-    pairs = _scan_pairs(space.ranks, n, m, prefix)
-    return _pairs_to_points(pairs, space.distances, n * n)
+    return _pairs_to_points(_scan_pairs(space.ints, n, m, prefix), space)
 
 
 def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
@@ -374,7 +374,7 @@ def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
 def _ad_pairs_for_prefix(
     space: FiniteMetricSpace, m: int, prefix: tuple[int, ...]
 ) -> frozenset[tuple[int, int]]:
-    return frozenset(_scan_pairs(space.ranks, space.n, m, prefix))
+    return frozenset(_scan_pairs(space.ints, space.n, m, prefix))
 
 
 def ad_set_parallel(
@@ -401,7 +401,7 @@ def ad_set_parallel(
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             for chunk in pool.map(worker, prefixes, chunksize=max(1, len(prefixes) // 16)):
                 pairs |= chunk
-    return _pairs_to_points(pairs, space.distances, n * n)
+    return _pairs_to_points(pairs, space)
 
 
 def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:

@@ -27,13 +27,17 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
 
     Floats are rejected outright: binary rounding would silently break the
     exact-equality contract every downstream formula relies on.  ``bool``
-    is an ``int`` subclass but never a meaningful number here.
+    is an ``int`` subclass but never a meaningful number here.  Malformed
+    text (``"abc"``, ``"1/0"``) raises ``ValueError`` naming ``what``.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, (bool, float)):
         raise TypeError(f"{what} must be exact (int, str or Fraction)")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} is not a rational: {value!r}") from None
 
 
 def parse_rational(text: str | int, where: str | None = None) -> Fraction:

@@ -134,6 +134,20 @@ def random_cluster_two_distance(
     return two_distance_space_from_graph(g, a, b)
 
 
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """A metric with entries in [1, 2] on pairwise-coprime denominators:
+    its scale, the lcm of the denominators, runs to tens of bits."""
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice(PRIMES)
+            matrix[i][j] = matrix[j][i] = Fraction(rng.randint(q, 2 * q), q)
+    return matrix
+
+
 def random_metric_space(
     rng: random.Random, n: int, denominator: int = 10
 ) -> FiniteMetricSpace:

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
@@ -322,6 +323,22 @@ class TestExactInputs:
     def test_graph_numbers_via_gh(self, via_gh, a, b):
         with pytest.raises(TypeError):
             via_gh(cycle_graph(5), a, b)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "1/2/3", ""])
+    def test_malformed_strings(self, e1_tds, text):
+        """One ValueError naming the input and its text, at every entry:
+        neither a bare ``ZeroDivisionError`` nor an anonymous message."""
+        calls = [
+            ("lambda", lambda: gh_two_distance(e1_tds, 2, text)),
+            ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(text)),
+            ("lambda", lambda: gh_oracle(e1_tds.base, 2, text)),
+            ("a", lambda: clique_cover_via_gh(cycle_graph(5), text, 2)),
+            ("dist[0][2]", lambda: validate_metric("pqr", [[0, 1, text], [1, 0, 1], [text, 1, 0]])),
+            ("dist[2][2]", lambda: validate_metric("pqr", [[0, 1, 1], [1, 0, 1], [1, 1, text]])),
+        ]
+        for what, call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"{what} is not a rational: {text!r}")):
+                call()
 
 
 class TestBorsuk:

@@ -16,9 +16,14 @@ from ghsimplex import (
     SimpleGraph,
     TriangleViolation,
     as_two_distance,
+    chromatic_number,
+    chromatic_via_gh,
+    clique_cover_number,
+    clique_cover_via_gh,
     complement,
     cycle_graph,
     diameter,
+    gh_oracle,
     hausdorff_distance,
     is_cluster_graph,
     min_distance_graph,
@@ -28,6 +33,7 @@ from ghsimplex import (
 from ghsimplex.rationals import exact
 from conftest import (
     all_graphs,
+    coprime_matrix,
     random_cluster_two_distance,
     random_graph,
     random_metric_space,
@@ -154,6 +160,14 @@ class TestHausdorff:
         with pytest.raises(EmptySubset):
             hausdorff_distance(e1_space, [], [0])
 
+    def test_index_out_of_range(self, e1_space):
+        """-1 would read the last point and 4 the end of a row; both are
+        rejected by name, in either subset."""
+        for bad in (-1, 4):
+            for a, b in (([bad], [0]), ([0, 1], [2, bad])):
+                with pytest.raises(ValueError, match=f"index {bad} is not a point of 0..3"):
+                    hausdorff_distance(e1_space, a, b)
+
     def test_symmetry_and_zero_iff_equal(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -199,8 +213,9 @@ class TestMinDistanceGraph:
 
     def test_graph_space_has_the_graph_it_was_built_from(self):
         """The space built from a graph has that graph (its complement when
-        a > b) as its minimal-distance graph, equal to the graph its ranks
-        give; b > 2a on a non-cluster graph still fails validation."""
+        a > b) as its minimal-distance graph, equal to the graph its
+        ``dist`` gives; b > 2a on a non-cluster graph still fails
+        validation."""
         rng = random.Random(16)
         for _ in range(40):
             n = rng.randint(3, 12)
@@ -209,10 +224,11 @@ class TestMinDistanceGraph:
             ids = labels or [f"v{i}" for i in range(n)]
             for a, b in ((F(1), F(3, 2)), (F(3, 2), F(1)), (F(2, 3), F(4, 3))):
                 tds = two_distance_space_from_graph(g, a, b, labels)
-                ranks = tds.base.ranks
+                dist = tds.base.dist
+                low = min(a, b)
                 rebuilt = SimpleGraph(
                     n,
-                    frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ranks[i][j] == 0),
+                    frozenset((i, j) for i in range(n) for j in range(i + 1, n) if dist[i][j] == low),
                 )
                 assert tds.graph == rebuilt
                 assert tds.graph is (g if a < b else complement(g))
@@ -255,7 +271,7 @@ def test_realizability_iff_cluster_or_small_gap(n):
 
 def _reference_validate(points, matrix):
     """The plain ``Fraction`` triple loop: the reference that
-    ``validate_metric``'s int check is held to."""
+    ``validate_metric``'s int check is held to.  Returns ``(points, dist)``."""
     ids = tuple(str(p) for p in points)
     n = len(ids)
     dist = tuple(
@@ -276,11 +292,11 @@ def _reference_validate(points, matrix):
             for k in range(n):
                 if k != i and k != j and dist[i][j] > dist[i][k] + dist[k][j]:
                     raise TriangleViolation(i, j, k)
-    return FiniteMetricSpace(ids, dist)
+    return ids, dist
 
 
 def _outcome(validate, matrix):
-    """The space ``validate`` returns, or the class and attributes
+    """What ``validate`` returns, or the class and attributes
     (``indices`` or ``index``) of the metric error it raises."""
     try:
         return validate([f"p{i}" for i in range(len(matrix))], matrix)
@@ -289,8 +305,14 @@ def _outcome(validate, matrix):
 
 
 def _assert_same_as_reference(matrix):
+    """The outcome of ``validate_metric``, after checking that it equals
+    the reference's: the same ``(points, dist)`` or the same error."""
     got = _outcome(validate_metric, matrix)
-    assert got == _outcome(_reference_validate, matrix)
+    want = _outcome(_reference_validate, matrix)
+    if isinstance(got, FiniteMetricSpace):
+        assert (got.points, got.dist) == want
+    else:
+        assert got == want
     return got
 
 
@@ -301,19 +323,6 @@ def _set(matrix, i, j, value):
 def _tightest(matrix, i, j):
     """min over third points k of d(i, k) + d(k, j)."""
     return min(matrix[i][k] + matrix[k][j] for k in range(len(matrix)) if k not in (i, j))
-
-
-PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _coprime_matrix(rng, n):
-    """A metric with entries in [1, 2] on pairwise-coprime denominators."""
-    matrix = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = rng.choice(PRIMES)
-            _set(matrix, i, j, F(rng.randint(q, 2 * q), q))
-    return matrix
 
 
 class TestIntCheckMatchesReference:
@@ -368,7 +377,7 @@ class TestIntCheckMatchesReference:
         rng = random.Random(37)
         for _ in range(40):
             n = rng.randint(3, 10)
-            matrix = _coprime_matrix(rng, n)
+            matrix = coprime_matrix(rng, n)
             assert isinstance(_assert_same_as_reference(matrix), FiniteMetricSpace)
             i, j = sorted(rng.sample(range(n), 2))
             tight = _tightest(matrix, i, j)
@@ -418,7 +427,8 @@ class TestIntCheckMatchesReference:
                 two_distance_space_from_graph(g, a, F(3, 2), ids)
             assert err.value.indices == want[1]["indices"]
             tds = two_distance_space_from_graph(g, a, F(4, 3), ids)
-            assert tds.base == _reference_validate(ids, _two_valued_matrix(g, a, F(4, 3)))
+            want = _reference_validate(ids, _two_valued_matrix(g, a, F(4, 3)))
+            assert (tds.base.points, tds.base.dist) == want
 
     def test_cluster_spaces_with_one_broken_pair(self):
         """b > 2a: every cross pair meets the third points.  Joining two
@@ -505,32 +515,58 @@ def test_pruned_scan_meets_no_third_point_for_b_at_most_2a(monkeypatch):
     assert sums
 
 
-def _reference_distances_and_ranks(space):
-    """Sorted distinct ``dist`` values, and each entry's index among them,
-    keyed by the ``Fraction`` values themselves."""
-    values = sorted({d for i, row in enumerate(space.dist) for d in row[i + 1 :]})
-    index = {v: r for r, v in enumerate(values)}
-    ranks = tuple(
-        tuple(0 if i == j else index[d] for j, d in enumerate(row))
-        for i, row in enumerate(space.dist)
-    )
-    return tuple(values), ranks
+def test_searches_build_no_fraction_matrix(monkeypatch):
+    """The checks and searches read the int matrix: neither
+    ``validate_metric``, nor the spaces that both ``*_via_gh`` routes
+    build, nor a ``gh_oracle`` sweep makes the ``Fraction`` view ``dist``."""
+    import ghsimplex.closed_form as closed_form
+
+    built = []
+    real = closed_form.two_distance_space_from_graph
+
+    def keeping(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(closed_form, "two_distance_space_from_graph", keeping)
+    g = random_usable_graph(random.Random(97), 14)
+    assert clique_cover_via_gh(g, 1, F(3, 2)) == clique_cover_number(g)[0]
+    assert chromatic_via_gh(g, 1, F(3, 2)) == chromatic_number(g)[0]
+    assert len(built) == 2
+    assert all("dist" not in vars(tds.base) for tds in built)
+    space = validate_metric([f"p{i}" for i in range(8)], coprime_matrix(random.Random(101), 8))
+    assert "dist" not in vars(space)
+    for m in range(1, 10):
+        for lam in (F(1, 2), F(1), *space.distances, F(7, 2)):
+            gh_oracle(space, m, lam)
+    assert "dist" not in vars(space)
 
 
-def _assert_distances_and_ranks(space):
-    assert (space.distances, space.ranks) == _reference_distances_and_ranks(space)
+def _reference_distances(matrix):
+    """Sorted distinct off-diagonal entries, keyed by their ``Fraction`` values."""
+    return tuple(sorted({F(d) for i, row in enumerate(matrix) for d in row[i + 1 :]}))
+
+
+def _assert_matches_input(space, matrix):
+    """``dist`` is the input as ``Fraction`` entries, and ``distances``
+    equals the ``Fraction``-keyed reference."""
+    assert space.dist == tuple(tuple(F(d) for d in row) for row in matrix)
+    assert all(type(d) is F for row in space.dist for d in row)
+    assert space.distances == _reference_distances(matrix)
     assert all(type(d) is F for d in space.distances)
 
 
 class TestIntDistancesAndRanks:
-    """``distances`` and ``ranks`` come from the kept int matrix; they must
-    equal the ``Fraction``-keyed reference on every kind of space."""
+    """``distances`` and the ``dist`` view come from the kept int matrix;
+    they must equal the input and the ``Fraction``-keyed reference on
+    every kind of space."""
 
     @pytest.mark.parametrize("denominator", [2, 10, 1000])
     def test_random_spaces(self, denominator):
         rng = random.Random(73 + denominator)
         for n in range(1, 14):
-            _assert_distances_and_ranks(random_metric_space(rng, n, denominator))
+            matrix = [list(row) for row in random_metric_space(rng, n, denominator).dist]
+            _assert_matches_input(validate_metric([f"p{i}" for i in range(n)], matrix), matrix)
 
     def test_int_str_and_fraction_inputs(self):
         rng = random.Random(79)
@@ -541,40 +577,47 @@ class TestIntDistancesAndRanks:
             as_int = [[int(4 * d) for d in row] for row in matrix]
             as_str = [[str(d) for d in row] for row in matrix]
             spaces = [validate_metric(ids, m) for m in (matrix, as_int, as_str)]
-            for space in spaces:
-                _assert_distances_and_ranks(space)
+            for space, m in zip(spaces, (matrix, as_int, as_str)):
+                _assert_matches_input(space, m)
             assert spaces[0] == spaces[2]
-            assert spaces[0].ranks == spaces[1].ranks == spaces[2].ranks
+            assert hash(spaces[0]) == hash(spaces[2])
+            assert spaces[0].ints == spaces[2].ints
             assert spaces[1].distances == tuple(4 * d for d in spaces[0].distances)
-
-    def test_space_built_directly_takes_the_lazy_path(self):
-        rng = random.Random(83)
-        for _ in range(20):
-            n = rng.randint(2, 10)
-            checked = random_metric_space(rng, n, rng.choice([2, 10, 1000]))
-            direct = FiniteMetricSpace(checked.points, checked.dist)
-            assert "_scaled" not in direct.__dict__
-            _assert_distances_and_ranks(direct)
-            assert direct._scaled == checked._scaled
 
     def test_pickle_and_deepcopy_round_trips(self):
         rng = random.Random(89)
-        spaces = [random_metric_space(rng, 9, 1000), random_two_distance(rng, 5, 12).base]
-        spaces.append(FiniteMetricSpace(spaces[0].points, spaces[0].dist))
-        for space in spaces:
+        fractions = [list(row) for row in random_metric_space(rng, 9, 1000).dist]
+        tds = random_two_distance(rng, 5, 12)
+        matrices = [
+            fractions,
+            [[int(1000 * d) for d in row] for row in fractions],
+            [[str(d) for d in row] for row in fractions],
+        ]
+        spaces = [validate_metric([f"p{i}" for i in range(9)], m) for m in matrices]
+        matrices.append(
+            [
+                [0 if i == j else tds.a if tds.graph.has_edge(i, j) else tds.b for j in range(tds.n)]
+                for i in range(tds.n)
+            ]
+        )
+        spaces.append(tds.base)
+        for space, given in zip(spaces, matrices):
             for copy in (pickle.loads(pickle.dumps(space)), copy_module.deepcopy(space)):
                 assert copy == space
-                _assert_distances_and_ranks(copy)
-            space.ranks
+                _assert_matches_input(copy, given)
+            space.thresholds.corners(2)
+            assert "dist" not in vars(space)
+            _assert_matches_input(space, given)
             for copy in (pickle.loads(pickle.dumps(space)), copy_module.deepcopy(space)):
-                _assert_distances_and_ranks(copy)
-                assert copy._scaled == space._scaled
+                assert copy == space
+                assert hash(copy) == hash(space)
+                _assert_matches_input(copy, given)
 
 
 def test_int_check_adds_no_fractions(monkeypatch):
     """Every axiom is checked in int arithmetic: a 20-point space with mixed
     denominators validates with ``Fraction`` addition switched off."""
-    matrix = _coprime_matrix(random.Random(47), 20)
+    matrix = coprime_matrix(random.Random(47), 20)
     ids = [f"p{i}" for i in range(20)]
 
     def no_adding(*_):
@@ -584,4 +627,4 @@ def test_int_check_adds_no_fractions(monkeypatch):
     monkeypatch.setattr(F, "__radd__", no_adding)
     space = validate_metric(ids, matrix)
     monkeypatch.undo()
-    assert space == _reference_validate(ids, matrix)
+    assert (space.points, space.dist) == _reference_validate(ids, matrix)

@@ -34,6 +34,7 @@ from ghsimplex import (
     validate_metric,
 )
 from conftest import (
+    coprime_matrix,
     enumerated_oracle,
     pointwise_oracle,
     random_metric_space,
@@ -181,17 +182,28 @@ def _repeated_diameter_space(rng, n):
     return validate_metric([f"p{i}" for i in range(n)], rows)
 
 
+def _random_space(rng, n, denominator):
+    """``random_metric_space``; with ``denominator=None``, a metric on
+    pairwise-coprime denominators, whose scale runs to tens of bits."""
+    if denominator is None:
+        return validate_metric([f"p{i}" for i in range(n)], coprime_matrix(rng, n))
+    return random_metric_space(rng, n, denominator)
+
+
+COPRIME = pytest.param(None, id="coprime")
+
+
 class TestScanAgainstBruteForce:
     """``ad_set`` against ``partition_alpha`` / ``partition_diameter`` over
     ``enumerate_partitions``: neither the saturation cut nor the order of
     the free elements may change a single pair."""
 
-    @pytest.mark.parametrize("denominator", [2, 10])
+    @pytest.mark.parametrize("denominator", [2, 10, COPRIME])
     def test_random_spaces_every_m(self, denominator):
-        rng = random.Random(40 + denominator)
+        rng = random.Random(40 + (denominator or 0))
         for n in range(1, 9):
             for _ in range(3):
-                space = random_metric_space(rng, n, denominator)
+                space = _random_space(rng, n, denominator)
                 for m in range(1, n + 1):
                     expected = frozenset(pt for _, pt in _enumerated_pairs(space, m))
                     assert ad_set(space, m) == expected, (space.dist, m)
@@ -439,12 +451,12 @@ class TestThresholdRoute:
 
     LAMBDAS = (F(1, 2), F(1), F(3, 2), F(2), F(7, 2))
 
-    @pytest.mark.parametrize("denominator", [2, 10])
+    @pytest.mark.parametrize("denominator", [2, 10, COPRIME])
     def test_equals_enumeration_and_extreme_set(self, denominator):
-        rng = random.Random(31 + denominator)
+        rng = random.Random(31 + (denominator or 0))
         for n in range(1, 9):
             for _ in range(6):
-                space = random_metric_space(rng, n, denominator)
+                space = _random_space(rng, n, denominator)
                 for m in range(1, n + 2):
                     if m <= n:
                         assert space.thresholds.corners(m) == extreme_points(ad_set(space, m))
