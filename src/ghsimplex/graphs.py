@@ -7,13 +7,13 @@ touching a coloring.  ``clique_cover_number`` ties them together through
 the complement-graph identity theta(H) = gamma(H'), and the test suite
 holds the two routes to exact agreement.
 
-The colorer (Brélaz's DSATUR order, CACM 1979) branches on the uncolored
-vertex of largest ``(saturation, degree, -v)`` and tries its colors in
-ascending order.  It keeps that key as one packed int per vertex, raised
-or lowered as neighbors' colors add or remove saturation bits, so a node
-costs one ``max`` over the uncolored set and a walk over one neighbor
-set.  The keys change what a node costs, not which nodes there are: the
-tests hold the search, node for node, to a per-node tuple scan.
+The colorer (Brélaz's DSATUR order, CACM 1979) works on neighborhood
+bitmasks: a graph's ``adjacency_bits`` or a threshold-table cell's rows.
+It branches on the uncolored vertex of largest ``(saturation, degree,
+-v)``, one packed int per vertex, and tries its colors in ascending
+order; one mask per color holds the vertices that color forbids, so a
+node costs one ``max`` and a step for each key that moves.  The tests
+hold the search, node for node, to a per-node tuple scan.
 
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
@@ -70,16 +70,9 @@ class SimpleGraph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
-
-    @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks; the workhorse of the exact solvers."""
+        """Neighborhoods as bitmasks: bit ``w`` of entry ``v`` is set when
+        ``v`` and ``w`` are adjacent.  Every routine here reads these."""
         bits = [0] * self.n
         for u, v in self.edges:
             bits[u] |= 1 << v
@@ -97,7 +90,7 @@ class SimpleGraph:
         return (u, v) in self.edges
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.adjacency_bits[v].bit_count()
 
     @property
     def edge_count(self) -> int:
@@ -134,19 +127,22 @@ def connected_components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     got = g._memo.get("components")
     if got is None:
         labels = [-1] * g.n
-        adj = g.neighbors
+        adj = g.adjacency_bits
         k = 0
         for start in range(g.n):
             if labels[start] != -1:
                 continue
-            stack = [start]
-            labels[start] = k
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if labels[w] == -1:
-                        labels[w] = k
-                        stack.append(w)
+            # Flood from ``start``; ``todo`` holds reached, unexpanded vertices.
+            comp = todo = 1 << start
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = adj[low.bit_length() - 1] & ~comp
+                comp |= new
+                todo |= new
+            for v in range(start, g.n):
+                if comp >> v & 1:
+                    labels[v] = k
             k += 1
         got = g._memo["components"] = (k, tuple(labels))
     return got
@@ -161,12 +157,8 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     link = g._memo.get("complement")
     h = link() if isinstance(link, weakref.ref) else link
     if h is None:
-        edges = set()
-        for u in range(g.n):
-            row = g.neighbors[u]
-            for v in range(u + 1, g.n):
-                if v not in row:
-                    edges.add((u, v))
+        adj = g.adjacency_bits
+        edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adj[u] >> v & 1]
         h = SimpleGraph(g.n, frozenset(edges))
         g._memo["complement"] = h
         h._memo["complement"] = weakref.ref(g)
@@ -181,24 +173,18 @@ def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:
     for v in members:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(v, g.n)
-    for i, u in enumerate(members):
-        row = g.neighbors[u]
-        for v in members[i + 1 :]:
-            if v not in row:
-                return False
-    return True
+    adj = g.adjacency_bits
+    mask = sum(1 << v for v in members)
+    return all(mask & ~adj[v] == 1 << v for v in members)
 
 
 def is_cluster_graph(g: SimpleGraph) -> bool:
     """True iff every connected component induces a complete subgraph."""
     k, labels = connected_components(g)
-    members: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(labels):
-        members[c].append(v)
-    return all(is_clique(g, comp) for comp in members)
+    return all(is_clique(g, [v for v, c in enumerate(labels) if c == b]) for b in range(k))
 
 
-def _dsatur_keys(g: SimpleGraph) -> tuple[list[int], int]:
+def _dsatur_keys(adj: tuple[int, ...]) -> tuple[list[int], int]:
     """Static DSATUR keys and the step that adds one to a saturation.
 
     A key packs ``(saturation, degree, n - v)`` into one int, each field
@@ -206,40 +192,42 @@ def _dsatur_keys(g: SimpleGraph) -> tuple[list[int], int]:
     comparing keys compares those tuples.  ``n - v`` is distinct per
     vertex and breaks ties toward the lowest index.
     """
-    n = g.n
+    n = len(adj)
     width = n.bit_length()
-    keys = [(len(nbrs) << width) | (n - v) for v, nbrs in enumerate(g.neighbors)]
+    keys = [(bits.bit_count() << width) | (n - v) for v, bits in enumerate(adj)]
     return keys, 1 << (2 * width)
 
 
-def _dsatur_greedy(g: SimpleGraph) -> list[int]:
+def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
     """Greedy DSATUR coloring; an upper bound and the initial incumbent."""
-    nbrs = g.neighbors
-    colors = [-1] * g.n
-    sat_masks = [0] * g.n
-    key, step = _dsatur_keys(g)
-    uncolored = set(range(g.n))
+    n = len(adj)
+    colors = [-1] * n
+    # forb[c]: the vertices with a neighbor of color c.
+    forb = [0] * n
+    key, step = _dsatur_keys(adj)
+    uncolored = set(range(n))
     while uncolored:
         v = max(uncolored, key=key.__getitem__)
         uncolored.remove(v)
-        sat = sat_masks[v]
-        c = (~sat & (sat + 1)).bit_length() - 1
+        c = 0
+        while forb[c] >> v & 1:
+            c += 1
         colors[v] = c
-        bit = 1 << c
-        for w in nbrs[v]:
-            if not sat_masks[w] & bit:
-                sat_masks[w] |= bit
-                key[w] += step
+        gain = adj[v] & ~forb[c]
+        forb[c] |= gain
+        while gain:
+            low = gain & -gain
+            key[low.bit_length() - 1] += step
+            gain ^= low
     return colors
 
 
-def _greedy_clique(g: SimpleGraph) -> list[int]:
+def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
     """A maximal clique grown greedily by descending degree; a lower bound for coloring."""
-    key, _ = _dsatur_keys(g)
+    key, _ = _dsatur_keys(adj)
     clique: list[int] = []
     clique_mask = 0
-    adj = g.adjacency_bits
-    for v in sorted(range(g.n), key=key.__getitem__, reverse=True):
+    for v in sorted(range(len(adj)), key=key.__getitem__, reverse=True):
         if clique_mask & ~adj[v] == 0:
             clique.append(v)
             clique_mask |= 1 << v
@@ -273,56 +261,58 @@ def chromatic_number(
     number of nodes, however often ``g`` was colored before.
     """
     if node_limit is not None:
-        return _color(g, node_limit)
+        return _color(g.adjacency_bits, node_limit)
     # The kernel is deterministic: two threads that both miss keep the
     # same answer.
     got = g._memo.get("chromatic")
     if got is None:
-        got = g._memo["chromatic"] = _color(g, None)
+        got = g._memo["chromatic"] = _color(g.adjacency_bits, None)
     return got
 
 
-def _color(g: SimpleGraph, node_limit: Optional[int]) -> tuple[int, tuple[int, ...]]:
-    """The coloring search behind :func:`chromatic_number`.
+def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[int, ...]]:
+    """The coloring search behind :func:`chromatic_number`; ``adj[v]`` is
+    the neighborhood bitmask of vertex ``v``.
 
     DSATUR-ordered branch-and-bound seeded with a greedy upper bound and a
     greedy-clique lower bound.  The clique vertices are pre-colored, which
     breaks color symmetry without affecting exactness.  Each node branches
-    on the uncolored vertex of largest ``(saturation, degree, -v)``, then
-    tries its free colors in ascending order.  That key is one packed int
-    per vertex (see :func:`_dsatur_keys`), raised or lowered by one step
-    whenever a neighbor's color adds or removes a saturation bit, so
-    choosing the vertex is one ``max`` over the uncolored set.
+    on the uncolored vertex of largest ``(saturation, degree, -v)``, one
+    packed int per vertex (see :func:`_dsatur_keys`), then tries its free
+    colors in ascending order.  ``forb[c]`` holds the vertices with a
+    neighbor of color c, so when ``v`` takes c the keys that rise by one
+    step are the bits of ``adj[v] & uncolored & ~forb[c]``.
     """
-    n = g.n
+    n = len(adj)
     if n < 1:
         raise ValueError("chromatic number needs at least one vertex")
-    if g.is_edgeless():
+    if not any(adj):
         return 1, (0,) * n
-    nbrs = g.neighbors
 
-    incumbent = _dsatur_greedy(g)
+    incumbent = _dsatur_greedy(adj)
     best_k, best = _normalize_coloring(incumbent)
-    clique = _greedy_clique(g)
+    clique = _greedy_clique(adj)
     lower = len(clique)
     if lower == best_k:
         return best_k, best
 
     colors = [-1] * n
-    sat_masks = [0] * n
+    forb = [0] * n
+    clique_mask = 0
     for c, v in enumerate(clique):
         colors[v] = c
-        for w in nbrs[v]:
-            sat_masks[w] |= 1 << c
-    key, step = _dsatur_keys(g)
+        forb[c] = adj[v]
+        clique_mask |= 1 << v
+    key, step = _dsatur_keys(adj)
     for v in range(n):
-        key[v] += sat_masks[v].bit_count() * step
+        key[v] += (adj[v] & clique_mask).bit_count() * step
     uncolored = set(range(n)).difference(clique)
+    free = ((1 << n) - 1) ^ clique_mask
     by_key = key.__getitem__
     nodes = 0
 
     def search(colored: int, used: int):
-        nonlocal best_k, best, nodes
+        nonlocal best_k, best, nodes, free
         if used >= best_k:
             return
         if colored == n:
@@ -336,24 +326,30 @@ def _color(g: SimpleGraph, node_limit: Optional[int]) -> tuple[int, tuple[int, .
             nodes += 1
         v = max(uncolored, key=by_key)
         uncolored.remove(v)
-        sat = sat_masks[v]
+        bit = 1 << v
+        free ^= bit
+        reach = adj[v] & free
         for c in range(min(used + 1, best_k - 1)):
-            bit = 1 << c
-            if sat & bit:
+            was = forb[c]
+            if was & bit:
                 continue
             colors[v] = c
-            touched = []
-            for w in nbrs[v]:
-                if colors[w] == -1 and not sat_masks[w] & bit:
-                    sat_masks[w] |= bit
-                    key[w] += step
-                    touched.append(w)
+            gain = reach & ~was
+            forb[c] = was | gain
+            rest = gain
+            while rest:
+                low = rest & -rest
+                key[low.bit_length() - 1] += step
+                rest ^= low
             search(colored + 1, max(used, c + 1))
-            for w in touched:
-                sat_masks[w] &= ~bit
-                key[w] -= step
+            forb[c] = was
+            while gain:
+                low = gain & -gain
+                key[low.bit_length() - 1] -= step
+                gain ^= low
         colors[v] = -1
         uncolored.add(v)
+        free |= bit
 
     try:
         search(len(clique), lower)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -37,7 +38,8 @@ from .errors import (
     TriangleViolation,
 )
 from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
-from .graphs import CliqueCover, SimpleGraph, clique_cover_number, complement
+from . import graphs
+from .graphs import CliqueCover, SimpleGraph, complement
 from .rationals import INF, RationalOrInf, exact
 
 
@@ -160,10 +162,12 @@ class ThresholdTable:
     up to the number of components.  All three conditions only weaken as
     ``at`` falls or ``dt`` rises, so the feasible bounds form a staircase
     whose corners are the extreme ``(alpha, diam)`` pairs.  At ``i = 0``
-    every point is its own component, so cell ``(0, r-2)`` covers the
-    graph of the pairs closer than the diameter: the Borsuk graph.  Levels
-    (per ``i``), minimum covers (per ``(i, j)``), corners and the
-    lambda-curves they fix (per m) are computed on first use and kept.
+    every point is its own component, the int matrix gives their cross
+    distances, and cell ``(0, r-2)`` covers the graph of the pairs closer
+    than the diameter: the Borsuk graph.  A cell colors the complement of
+    its graph as one bitmask per ``cross`` row; it builds no graph object.
+    Levels (per ``i > 0``), minimum covers (per ``(i, j)``), corners and
+    the lambda-curves they fix (per m) are computed on first use and kept.
     """
 
     def __init__(self, ints: Sequence[Sequence[int]], scale: int, values: Sequence[Fraction]) -> None:
@@ -171,63 +175,60 @@ class ThresholdTable:
         self._values = values
         # v_j on the int matrix's scale, then 0 for ``j = -1``.
         self._steps = [v.numerator * (scale // v.denominator) for v in values] + [0]
-        self._levels: dict[int, tuple[int, int, list[list[int]]]] = {}
+        self._levels: dict[int, tuple[int, int, Sequence[Sequence[int]]]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
         self._corners: dict[int, frozenset[ADPoint]] = {}
         self._curves: dict[int, PiecewiseLinearCurve] = {}
 
-    def _level(self, i: int) -> tuple[int, int, list[list[int]]]:
+    def _level(self, i: int) -> tuple[int, int, Sequence[Sequence[int]]]:
         """Components of ``G_{<v_i}``: their number, the largest int distance
         inside one (0 when all are single points) and the largest int
         distance between each pair of them."""
+        ints = self._ints
+        n = len(ints)
+        if i == 0:  # nothing is closer than v_0: the points and their matrix
+            return n, 0, ints
         got = self._levels.get(i)
         if got is None:
-            ints = self._ints
             below = self._steps[i]
-            n = len(ints)
             label = [-1] * n
             k = 0
             for start in range(n):
-                if label[start] != -1:
-                    continue
-                label[start] = k
-                stack = [start]
-                while stack:
-                    u = stack.pop()
-                    row = ints[u]
-                    for w in range(n):
-                        if label[w] == -1 and row[w] < below:
-                            label[w] = k
-                            stack.append(w)
-                k += 1
-            inner = 0
+                if label[start] == -1:
+                    label[start], stack = k, [start]
+                    while stack:
+                        row = ints[stack.pop()]
+                        for w in range(n):
+                            if label[w] == -1 and row[w] < below:
+                                label[w] = k
+                                stack.append(w)
+                    k += 1
             cross = [[0] * k for _ in range(k)]
             for u in range(n):
-                cu = label[u]
-                row = ints[u]
-                for w in range(u + 1, n):
-                    cw = label[w]
-                    d = row[w]
-                    if cu == cw:
-                        if d > inner:
-                            inner = d
-                    elif d > cross[cu][cw]:
-                        cross[cu][cw] = cross[cw][cu] = d
+                far = cross[label[u]]
+                for c, d in zip(label, ints[u]):
+                    if d > far[c]:
+                        far[c] = d
+            # The diagonal holds each component's own diameter; move it out.
+            inner = 0
+            for c, row in enumerate(cross):
+                inner, row[c] = max(inner, row[c]), 0
             got = self._levels[i] = (k, inner, cross)
         return got
 
     def cover(self, i: int, j: int) -> CliqueCover:
         """A minimum clique cover of the compatibility graph at ``(v_i, v_j)``,
-        on the components of ``G_{<v_i}`` numbered by their smallest point."""
+        on the components of ``G_{<v_i}`` numbered by their smallest point:
+        the color classes of its complement, where bit ``d`` of row ``c``
+        is set when ``cross[c][d]`` exceeds ``v_j``."""
         got = self._covers.get((i, j))
         if got is None:
             k, _, cross = self._level(i)
             top = self._steps[j]
-            edges = frozenset(
-                (c, d) for c in range(k) for d in range(c + 1, k) if cross[c][d] <= top
-            )
-            _, got = clique_cover_number(SimpleGraph(k, edges))
-            self._covers[(i, j)] = got
+            bits = [1 << d for d in range(k)]
+            clash = tuple(sum(compress(bits, map(top.__lt__, row))) for row in cross)
+            _, coloring = graphs._color(clash, None)
+            got = self._covers[(i, j)] = CliqueCover(graphs._blocks_from_assignment(coloring))
         return got
 
     def feasible(self, i: int, j: int, m: int) -> bool:

@@ -27,17 +27,20 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
 
     Floats are rejected outright: binary rounding would silently break the
     exact-equality contract every downstream formula relies on.  ``bool``
-    is an ``int`` subclass but never a meaningful number here.  Malformed
-    text (``"abc"``, ``"1/0"``) raises ``ValueError`` naming ``what``.
+    is an ``int`` subclass but never a meaningful number here.  They and
+    non-numbers (``None``, a list) raise ``TypeError``, malformed text
+    (``"abc"``, ``"1/0"``) ``ValueError``; both name ``what``.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"{what} must be exact (int, str or Fraction)")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{what} is not a rational: {value!r}") from None
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{what} is not a rational: {value!r}") from None
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be exact (int, str or Fraction)")
 
 
 def parse_rational(text: str | int, where: str | None = None) -> Fraction:

@@ -340,6 +340,22 @@ class TestExactInputs:
             with pytest.raises(ValueError, match=re.escape(f"{what} is not a rational: {text!r}")):
                 call()
 
+    @pytest.mark.parametrize("bad", [None, [1], {"d": 1}], ids=["none", "list", "dict"])
+    def test_non_numbers(self, e1_tds, bad):
+        """One TypeError naming the input at every entry, not the anonymous
+        one ``Fraction`` raises for a type it cannot take."""
+        calls = [
+            ("lambda", lambda: gh_two_distance(e1_tds, 2, bad)),
+            ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(bad)),
+            ("lambda", lambda: gh_oracle(e1_tds.base, 2, bad)),
+            ("a", lambda: two_distance_space_from_graph(cycle_graph(5), bad, 2)),
+            ("b", lambda: two_distance_space_from_graph(cycle_graph(5), 1, bad)),
+            ("dist[0][1]", lambda: validate_metric(["a", "b"], [[0, bad], [bad, 0]])),
+        ]
+        for what, call in calls:
+            with pytest.raises(TypeError, match=re.escape(f"{what} must be exact")):
+                call()
+
 
 class TestBorsuk:
     def test_e2_two_parts_infeasible(self, e2_space):
@@ -407,17 +423,8 @@ class TestBorsuk:
         with pytest.raises(InvalidM):
             borsuk_feasible(e1_space, 5)
 
-    def test_decisions_share_one_cover_per_space(self, monkeypatch):
-        import ghsimplex.metric as metric
-
-        calls = []
-        real = metric.clique_cover_number
-
-        def counting(g, *args, **kwargs):
-            calls.append(g)
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(metric, "clique_cover_number", counting)
+    def test_decisions_share_one_cover_per_space(self, color_searches):
+        calls = color_searches
         space = random_metric_space(random.Random(46), 8, 2)
         first = [borsuk_feasible(space, m) for m in range(1, 9)]
         assert len(calls) == 1

@@ -369,8 +369,8 @@ class TestSameSearchTree:
     def test_matches_reference(self, g):
         from ghsimplex.graphs import _dsatur_greedy, _greedy_clique
 
-        assert _dsatur_greedy(g) == _reference_dsatur_greedy(g)
-        assert _greedy_clique(g) == _reference_greedy_clique(g)
+        assert _dsatur_greedy(g.adjacency_bits) == _reference_dsatur_greedy(g)
+        assert _greedy_clique(g.adjacency_bits) == _reference_greedy_clique(g)
         assert chromatic_number(g) == _reference_chromatic(g)
         for limit in (1, 2, 5, 17):
             assert _outcome(chromatic_number, g, limit) == _outcome(_reference_chromatic, g, limit)

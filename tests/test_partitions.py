@@ -15,9 +15,13 @@ from ghsimplex import (
     InvalidM,
     NonPositiveLambda,
     Partition,
+    SimpleGraph,
     ad_set,
     ad_set_parallel,
+    borsuk_feasible,
+    clique_cover_direct,
     connected_components,
+    cover_is_valid,
     diameter,
     enumerate_partitions,
     extreme_points,
@@ -499,17 +503,8 @@ class TestThresholdRoute:
                 for lam in (tds.a / 2, tds.a, (tds.a + tds.b) / 2, tds.b, 2 * tds.b):
                     assert gh_oracle(tds.base, m, lam) == gh_two_distance(tds, m, lam).value
 
-    def test_lambda_sweep_reuses_the_space_cache(self, monkeypatch):
-        import ghsimplex.metric as metric
-
-        calls = []
-        real = metric.clique_cover_number
-
-        def counting(g, *args, **kwargs):
-            calls.append(g)
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(metric, "clique_cover_number", counting)
+    def test_lambda_sweep_reuses_the_space_cache(self, color_searches):
+        calls = color_searches
         space = random_metric_space(random.Random(36), 8, 2)
         first = [gh_oracle(space, m, lam) for m in range(1, 9) for lam in self.LAMBDAS]
         paid = len(calls)
@@ -522,6 +517,78 @@ class TestThresholdRoute:
         copy = validate_metric(space.points, space.dist)
         assert [gh_oracle(copy, m, lam) for m in range(1, 9) for lam in self.LAMBDAS] == first
         assert len(calls) == 2 * paid
+
+
+def _cell_graph(space, i, j):
+    """The compatibility graph of cell ``(i, j)`` built from the ``Fraction``
+    distances: union-find components of the pairs closer than v_i,
+    numbered by smallest point, joined when their largest cross distance
+    is at most v_j (0 for ``j = -1``)."""
+    values = space.distances
+    at, dt = values[i], (values[j] if j >= 0 else F(0))
+    n = space.n
+    parent = list(range(n))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for u in range(n):
+        for w in range(u + 1, n):
+            if space.dist[u][w] < at:
+                parent[max(find(u), find(w))] = min(find(u), find(w))
+    roots = sorted({find(u) for u in range(n)})
+    label = [roots.index(find(u)) for u in range(n)]
+    k = len(roots)
+    far = [[F(0)] * k for _ in range(k)]
+    for u in range(n):
+        for w in range(n):
+            far[label[u]][label[w]] = max(far[label[u]][label[w]], space.dist[u][w])
+    edges = [(c, d) for c in range(k) for d in range(c + 1, k) if far[c][d] <= dt]
+    return SimpleGraph(k, frozenset(edges))
+
+
+class TestThresholdCells:
+    """Each cell of the threshold table against a graph built here, and no
+    cell builds a graph of its own."""
+
+    def test_every_cell_is_a_minimum_cover(self):
+        rng = random.Random(71)
+        spaces = [
+            random_metric_space(rng, n, den) for den in (2, 10) for n in range(2, 10) for _ in (0, 1)
+        ]
+        spaces.append(validate_metric([f"p{i}" for i in range(7)], coprime_matrix(rng, 7)))
+        cells = 0
+        for space in spaces:
+            r = len(space.distances)
+            for i in range(r):
+                for j in range(-1, r):
+                    g = _cell_graph(space, i, j)
+                    cover = space.thresholds.cover(i, j)
+                    assert cover.size == clique_cover_direct(g)[0], (space.dist, i, j)
+                    assert cover_is_valid(g, cover), (space.dist, i, j)
+                    cells += 1
+        assert cells > 1500, cells
+
+    def test_no_graph_is_built_per_cell(self, monkeypatch):
+        built = []
+        real = SimpleGraph.__post_init__
+
+        def counting(self):
+            built.append(self.n)
+            real(self)
+
+        monkeypatch.setattr(SimpleGraph, "__post_init__", counting)
+        rng = random.Random(72)
+        for n in (6, 9):
+            space = random_metric_space(rng, n, 10)
+            decisions = [borsuk_feasible(space, m) for m in range(1, n + 1)]
+            assert not decisions[0][0] and decisions[-1][0]
+            for m in range(1, n + 2):
+                for lam in TestThresholdRoute.LAMBDAS:
+                    gh_oracle(space, m, lam)
+        assert built == []
 
 
 def _line_space(rng, n):
