@@ -102,6 +102,6 @@ from .partitions import (
     partition_from_blocks,
     scan_prefixes,
 )
-from .rationals import INF, Rational, RationalOrInf, format_rational, parse_rational
+from .rationals import INF, RationalOrInf
 
 __version__ = "0.1.0"

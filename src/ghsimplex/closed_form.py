@@ -45,7 +45,6 @@ from .graphs import (
 from .metric import (
     FiniteMetricSpace,
     TwoDistanceSpace,
-    diameter,
     min_distance_graph,
     two_distance_space_from_graph,
 )
@@ -208,11 +207,11 @@ def borsuk_feasible(
     computed once per space.
     """
     n = space.n
-    if n < 2 or diameter(space) == 0:
+    if n < 2:
         raise SinglePoint("the Borsuk question needs at least two points")
     if m < 1 or m > n:
         raise InvalidM(m, n)
-    cover = space.thresholds.cover(0, len(space.distances) - 2)
+    cover = space.thresholds.cover(0, len(space.steps) - 2)
     if m < cover.size:
         return False, None
     return True, _split_to_m_blocks(cover.blocks, m, n)

@@ -167,14 +167,14 @@ def complement(g: SimpleGraph) -> SimpleGraph:
 
 def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:
     """True iff every pair in ``s`` is adjacent; singletons count as cliques."""
-    members = sorted(set(s))
+    members = list(s)
     if not members:
         raise EmptySubset("a clique candidate must be non-empty")
     for v in members:
-        if not 0 <= v < g.n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
             raise VertexOutOfRange(v, g.n)
     adj = g.adjacency_bits
-    mask = sum(1 << v for v in members)
+    mask = sum(1 << v for v in set(members))
     return all(mask & ~adj[v] == 1 << v for v in members)
 
 

@@ -12,11 +12,11 @@ smallest distance, since no other pair can break the inequality.  A
 distances take exactly two values ``a < b``; for those the graph of
 minimal distances drives everything downstream.
 
-A space computes, once and on first use, its sorted distinct distances,
-the ``Fraction`` view ``dist`` and its :class:`ThresholdTable`; these live
-on the (immutable) space object and are freed with it, so a lambda
-sweep, an extreme-set query or the Borsuk decisions for every m on one
-space pay for them once.
+A space computes, once and on first use, ``steps`` (its sorted distinct
+off-diagonal ints) and its :class:`ThresholdTable`, kept on the immutable
+space, so a lambda sweep, an extreme-set query or the Borsuk decisions
+for every m pay for them once.  Every search reads ``steps``; a
+``Fraction`` is built only for a value the library returns.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def _scaled_ints(matrix: Sequence[Sequence[object]]) -> tuple[int, tuple[tuple[i
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Point ids and one int matrix, ``ints[i][j] = d(i, j) * scale`` with
-    ``scale`` the lcm of the denominators: equal spaces have equal fields."""
+    ``scale`` the lcm of the denominators: equal spaces have equal fields.
+    ``distances`` and ``dist`` are ``Fraction`` views of ``steps`` and ``ints``."""
 
     points: tuple[str, ...]
     scale: int
@@ -89,23 +90,28 @@ class FiniteMetricSpace:
         return Fraction(self.ints[i][j], self.scale)
 
     @cached_property
-    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The distances as ``Fraction`` entries, one object per distinct value."""
-        scale = self.scale
-        values = {d: Fraction(d, scale) for d in set().union(*self.ints)}
-        return tuple(tuple(map(values.__getitem__, row)) for row in self.ints)
+    def steps(self) -> tuple[int, ...]:
+        """The distinct off-diagonal entries of ``ints``, ascending."""
+        return tuple(sorted(set().union(*(row[i + 1 :] for i, row in enumerate(self.ints)))))
 
     @cached_property
     def distances(self) -> tuple[Fraction, ...]:
-        """The distinct off-diagonal distances, ascending."""
-        distinct = set().union(*(row[i + 1 :] for i, row in enumerate(self.ints)))
-        return tuple(Fraction(d, self.scale) for d in sorted(distinct))
+        """The distinct off-diagonal distances, ascending: ``steps`` over ``scale``."""
+        scale = self.scale
+        return tuple(Fraction(d, scale) for d in self.steps)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as ``Fraction`` entries, one object per distinct value."""
+        values = dict(zip(self.steps, self.distances))
+        values[0] = Fraction(0)
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.ints)
 
     @cached_property
     def thresholds(self) -> ThresholdTable:
         """The threshold-graph structure the partition oracle, the
         extreme-set query and the Borsuk decision read."""
-        return ThresholdTable(self.ints, self.scale, self.distances)
+        return ThresholdTable(self.ints, self.scale, self.steps)
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class TwoDistanceSpace:
         """The minimal-distance graph: edges exactly the pairs at distance ``a``."""
         n = self.n
         ints = self.base.ints
-        low = int(self.a * self.base.scale)
+        low = self.base.steps[0]
         return SimpleGraph(
             n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ints[i][j] == low)
         )
@@ -143,10 +149,11 @@ class ThresholdTable:
     """The lambda-free structure of one space: one clique-cover reduction
     answers the partition oracle, the extreme-set query and Borsuk.
 
-    Write ``v_0 < ... < v_{r-1}`` for the distinct distances and index a
+    Write ``v_0 < ... < v_{r-1}`` for the space's ``steps`` and index a
     separation bound ``at = v_i`` by ``i`` and a diameter bound ``dt = v_j``
     by ``j``, with ``j = -1`` standing for ``dt = 0``.  The table compares
-    the space's int matrix against the matching distinct ints.  An m-block
+    the int matrix against the steps; only corners and curves divide by
+    ``scale``.  It keeps no reference to the space.  An m-block
     partition with ``alpha >= at`` and ``diam <= dt`` exists iff
 
     * every component of ``G_{<at}`` (the pairs closer than ``at``) has
@@ -170,11 +177,11 @@ class ThresholdTable:
     the lambda-curves they fix (per m) are computed on first use and kept.
     """
 
-    def __init__(self, ints: Sequence[Sequence[int]], scale: int, values: Sequence[Fraction]) -> None:
+    def __init__(self, ints: Sequence[Sequence[int]], scale: int, steps: Sequence[int]) -> None:
         self._ints = ints
-        self._values = values
-        # v_j on the int matrix's scale, then 0 for ``j = -1``.
-        self._steps = [v.numerator * (scale // v.denominator) for v in values] + [0]
+        self._scale = scale
+        # v_j, then 0 for ``j = -1``.
+        self._steps = (*steps, 0)
         self._levels: dict[int, tuple[int, int, Sequence[Sequence[int]]]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
         self._corners: dict[int, frozenset[ADPoint]] = {}
@@ -237,7 +244,7 @@ class ThresholdTable:
         return m <= k and inner <= self._steps[j] and self.cover(i, j).size <= m
 
     def _value(self, j: int) -> Fraction:
-        return self._values[j] if j >= 0 else Fraction(0)
+        return Fraction(self._steps[j], self._scale)
 
     def corners(self, m: int) -> frozenset[ADPoint]:
         """The extreme ``(alpha, diam)`` pairs of the m-block partitions,
@@ -245,7 +252,7 @@ class ThresholdTable:
         got = self._corners.get(m)
         if got is not None:
             return got
-        r = len(self._values)
+        r = len(self._steps) - 1
         if m == 1:
             got = frozenset((ADPoint(INF, self._value(r - 1)),))
         else:
@@ -263,7 +270,7 @@ class ThresholdTable:
                     out.append((i, j))
                 if i + 1 == r or self._level(i + 1)[0] < m:
                     break
-            got = frozenset(ADPoint(self._values[i], self._value(j)) for i, j in out)
+            got = frozenset(ADPoint(self._value(i), self._value(j)) for i, j in out)
         self._corners[m] = got
         return got
 
@@ -276,7 +283,7 @@ class ThresholdTable:
         got = self._curves.get(m)
         if got is None:
             zero = Fraction(0)
-            diam = self._value(len(self._values) - 1)
+            diam = self._value(len(self._steps) - 2)
             if m > n:
                 rising = [CurveSegment(zero, INF, 1, zero)]
             else:
@@ -361,8 +368,8 @@ def validate_metric(
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
     """Largest distance in the space; 0 for a single point."""
-    values = space.distances
-    return values[-1] if values else Fraction(0)
+    steps = space.steps
+    return Fraction(steps[-1] if steps else 0, space.scale)
 
 
 def as_two_distance(space: FiniteMetricSpace) -> TwoDistanceSpace:
@@ -372,22 +379,20 @@ def as_two_distance(space: FiniteMetricSpace) -> TwoDistanceSpace:
     (n >= 3, diameter = b, minimal-distance graph neither edgeless nor
     complete) holds automatically.
     """
-    values = space.distances
-    if len(values) != 2:
-        raise NotTwoDistance(len(values))
-    return TwoDistanceSpace(space, values[0], values[1])
+    if len(space.steps) != 2:
+        raise NotTwoDistance(len(space.steps))
+    return TwoDistanceSpace(space, *space.distances)
 
 
 def hausdorff_distance(
     space: FiniteMetricSpace, subset_a: Iterable[int], subset_b: Iterable[int]
 ) -> Fraction:
     """max over each subset of the distance to the nearest point of the other."""
-    sa = sorted(set(subset_a))
-    sb = sorted(set(subset_b))
+    sa, sb = list(subset_a), list(subset_b)
     if not sa or not sb:
         raise EmptySubset("Hausdorff distance needs two non-empty subsets")
     for v in sa + sb:
-        if not 0 <= v < space.n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < space.n:
             raise ValueError(f"index {v!r} is not a point of 0..{space.n - 1}")
     ints = space.ints
 

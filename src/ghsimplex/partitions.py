@@ -324,8 +324,7 @@ def _pairs_to_points(
 ) -> frozenset[ADPoint]:
     # Each int distance as its ``distances`` entry, and 0 for an
     # all-singleton diameter; only the empty separation is missing.
-    scale = space.scale
-    value = {d.numerator * (scale // d.denominator): d for d in space.distances}
+    value = dict(zip(space.steps, space.distances))
     value[0] = Fraction(0)
     return frozenset(ADPoint(value.get(a, INF), value[d]) for a, d in pairs)
 

@@ -16,7 +16,6 @@ from typing import Union
 
 from .errors import ParseError
 
-Rational = Fraction
 RationalOrInf = Union[Fraction, float]
 
 INF = math.inf
@@ -44,17 +43,12 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
 
 
 def parse_rational(text: str | int, where: str | None = None) -> Fraction:
-    """Parse ``"p/q"``, decimal (``"1.5"``) or integer strings exactly."""
-    if isinstance(text, bool):
-        raise ParseError("boolean is not a rational", where)
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"expected a rational string, got {type(text).__name__}", where)
+    """Parse ``"p/q"``, decimal (``"1.5"``) or integer strings exactly:
+    :func:`exact`, with its rejection raised as :class:`ParseError` at ``where``."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r} ({exc})", where) from None
+        return exact(text, "value")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc), where) from None
 
 
 def format_rational(value: RationalOrInf) -> str:

@@ -249,7 +249,10 @@ class TestCurve:
 
     def test_case_table_is_the_corner_curve_at_r2(self, e1_tds, e2_tds):
         """The paper's theorem is the two-distance instance of the corner
-        formula: the two curves agree segment for segment at every m."""
+        formula: the two curves agree segment for segment at every m, and
+        the case table's k and theta read off the r = 2 table: theta is
+        the cover size of cell (0, 0), the graph of the pairs closer than
+        b, and k the most blocks with separation and diameter at most a."""
         rng = random.Random(44)
         spaces = [e1_tds, e2_tds]
         spaces += [random_two_distance(rng, 3, 10) for _ in range(40)]
@@ -257,6 +260,9 @@ class TestCurve:
         for tds in spaces:
             for m in range(1, tds.n + 2):
                 assert gh_curve(tds, m).segments == gh_oracle_curve(tds.base, m).segments
+            table = tds.base.thresholds
+            k = max(m for m in range(1, tds.n + 1) if table.feasible(1, 1, m))
+            assert (k, table.cover(0, 0).size) == graph_invariants(tds.graph)
 
     def test_segments_cover_and_stay_continuous_convex(self):
         rng = random.Random(43)

@@ -1,5 +1,5 @@
-"""Every demo runs to completion in a fresh interpreter and writes nothing
-to stderr."""
+"""Every demo runs to completion in a fresh interpreter, writes nothing to
+stderr and prints exactly its recorded output in ``demo_output/``."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_exist():
@@ -27,4 +28,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert done.stdout
+    assert done.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

@@ -54,10 +54,11 @@ class TestSpaceFormat:
         assert "line 1" in str(err.value)
 
     def test_bad_entry_names_cell(self):
-        doc = json.dumps({"points": ["p", "q"], "matrix": [["0", "x"], ["x", "0"]]})
-        with pytest.raises(ParseError) as err:
-            parse_space(doc)
-        assert "matrix[0][1]" in str(err.value)
+        for bad in ("x", 1.5, True):
+            doc = json.dumps({"points": ["p", "q"], "matrix": [["0", bad], [bad, "0"]]})
+            with pytest.raises(ParseError) as err:
+                parse_space(doc)
+            assert "matrix[0][1]" in str(err.value)
 
     def test_validation_errors_propagate(self):
         doc = json.dumps({"points": ["p", "q"], "matrix": [["0", "1"], ["2", "0"]]})

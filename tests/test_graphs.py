@@ -93,6 +93,14 @@ class TestCliquePredicates:
         with pytest.raises(EmptySubset):
             is_clique(TWO_EDGES, [])
 
+    def test_non_vertex_members_rejected(self):
+        """True would read vertex 1 and 1.5 is no vertex; both are named."""
+        for bad in (True, 1.5, -1, TWO_EDGES.n):
+            for members in ([bad], [bad, 0], [2, bad]):
+                with pytest.raises(VertexOutOfRange) as err:
+                    is_clique(TWO_EDGES, members)
+                assert err.value.vertex is bad
+
     def test_cluster_graph_examples(self):
         assert is_cluster_graph(TWO_EDGES)
         assert is_cluster_graph(complete_graph(4))

@@ -16,6 +16,7 @@ from ghsimplex import (
     SimpleGraph,
     TriangleViolation,
     as_two_distance,
+    borsuk_feasible,
     chromatic_number,
     chromatic_via_gh,
     clique_cover_number,
@@ -161,9 +162,9 @@ class TestHausdorff:
             hausdorff_distance(e1_space, [], [0])
 
     def test_index_out_of_range(self, e1_space):
-        """-1 would read the last point and 4 the end of a row; both are
-        rejected by name, in either subset."""
-        for bad in (-1, 4):
+        """-1 would read the last point, 4 the end of a row, True point 1 and
+        1.5 no point at all; each is rejected by name, in either subset."""
+        for bad in (-1, 4, True, 1.5):
             for a, b in (([bad], [0]), ([0, 1], [2, bad])):
                 with pytest.raises(ValueError, match=f"index {bad} is not a point of 0..3"):
                     hausdorff_distance(e1_space, a, b)
@@ -518,7 +519,8 @@ def test_pruned_scan_meets_no_third_point_for_b_at_most_2a(monkeypatch):
 def test_searches_build_no_fraction_matrix(monkeypatch):
     """The checks and searches read the int matrix: neither
     ``validate_metric``, nor the spaces that both ``*_via_gh`` routes
-    build, nor a ``gh_oracle`` sweep makes the ``Fraction`` view ``dist``."""
+    build, nor a ``gh_oracle`` sweep makes the ``Fraction`` view ``dist``;
+    a Borsuk decision for every m builds no ``Fraction`` at all."""
     import ghsimplex.closed_form as closed_form
 
     built = []
@@ -540,6 +542,21 @@ def test_searches_build_no_fraction_matrix(monkeypatch):
         for lam in (F(1, 2), F(1), *space.distances, F(7, 2)):
             gh_oracle(space, m, lam)
     assert "dist" not in vars(space)
+    rng = random.Random(103)
+    spaces = [validate_metric([f"p{i}" for i in range(n)], coprime_matrix(rng, n)) for n in range(6, 12)]
+
+    def no_fractions(*_):
+        raise AssertionError("Fraction built by a Borsuk decision")
+
+    monkeypatch.setattr(F, "__new__", no_fractions)
+    for space in spaces:
+        for m in range(1, space.n + 1):
+            feasible, witness = borsuk_feasible(space, m)
+            assert feasible == (witness is not None)
+    monkeypatch.undo()
+    for space in spaces:
+        assert "distances" not in vars(space)
+        assert "dist" not in vars(space)
 
 
 def _reference_distances(matrix):
