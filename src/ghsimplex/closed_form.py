@@ -29,13 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
-from .errors import (
-    BadParameters,
-    DegenerateGraph,
-    InvalidM,
-    NonPositiveLambda,
-    SinglePoint,
-)
+from .errors import BadParameters, DegenerateGraph, SinglePoint
 from .graphs import (
     SimpleGraph,
     chromatic_number,
@@ -49,7 +43,7 @@ from .metric import (
     two_distance_space_from_graph,
 )
 from .partitions import Partition, partition_from_blocks
-from .rationals import INF, exact
+from .rationals import INF, check_m, exact
 
 
 class GHCaseTag(enum.Enum):
@@ -89,8 +83,7 @@ def classify_case_from_params(m: int, n: int, k: int, theta: int) -> GHCaseTag:
     """
     if not (1 <= k <= theta <= n - 1):
         raise ValueError(f"need 1 <= k <= theta <= n-1, got k={k}, theta={theta}, n={n}")
-    if m < 1:
-        raise InvalidM(m, n)
+    check_m(m, None)
     if m == 1:
         return GHCaseTag.M_EQ_1
     if m > n:
@@ -150,11 +143,8 @@ def gh_two_distance(
     tds: TwoDistanceSpace, m: int, lam: Union[Fraction, int, str]
 ) -> GHValue:
     """Twice the Gromov-Hausdorff distance to the m-point simplex of side ``lam``."""
-    lam = exact(lam, "lambda")
-    if lam <= 0:
-        raise NonPositiveLambda(lam)
     curve = gh_curve(tds, m)
-    return GHValue(curve.at(lam), curve.case)
+    return GHValue(curve.evaluate(lam), curve.case)
 
 
 def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
@@ -165,6 +155,8 @@ def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
     is max(b - lambda, R), with R the maximum of its slope-0 and slope-+1
     pieces.
     """
+    # Checked before the lookup: True and 2.0 hash as the ints 1 and 2.
+    check_m(m, None)
     got = tds.cases.get(m)
     if got is None:
         case = classify_case(tds, m)
@@ -209,8 +201,7 @@ def borsuk_feasible(
     n = space.n
     if n < 2:
         raise SinglePoint("the Borsuk question needs at least two points")
-    if m < 1 or m > n:
-        raise InvalidM(m, n)
+    check_m(m, n)
     cover = space.thresholds.cover(0, len(space.steps) - 2)
     if m < cover.size:
         return False, None

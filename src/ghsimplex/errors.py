@@ -60,10 +60,15 @@ class EmptyInput(GHError):
 
 
 class InvalidM(GHError):
-    def __init__(self, m: int, n: int):
+    """A block count out of range; ``n`` is None where m has no upper bound."""
+
+    def __init__(self, m: int, n: int | None):
         self.m = m
         self.n = n
-        super().__init__(f"m={m} is outside the valid range 1..{n}")
+        if n is None:
+            super().__init__(f"m={m} must be at least 1")
+        else:
+            super().__init__(f"m={m} is outside the valid range 1..{n}")
 
 
 class NonPositiveLambda(GHError):

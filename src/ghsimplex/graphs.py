@@ -15,6 +15,10 @@ order; one mask per color holds the vertices that color forbids, so a
 node costs one ``max`` and a step for each key that moves.  The tests
 hold the search, node for node, to a per-node tuple scan.
 
+Components come from one flood over the same masks: a graph's
+``adjacency_bits`` for :func:`connected_components`, and one mask per
+point of the pairs closer than a bound for a threshold-table level.
+
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
 
@@ -126,26 +130,32 @@ def connected_components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     """
     got = g._memo.get("components")
     if got is None:
-        labels = [-1] * g.n
-        adj = g.adjacency_bits
-        k = 0
-        for start in range(g.n):
-            if labels[start] != -1:
-                continue
-            # Flood from ``start``; ``todo`` holds reached, unexpanded vertices.
-            comp = todo = 1 << start
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                new = adj[low.bit_length() - 1] & ~comp
-                comp |= new
-                todo |= new
-            for v in range(start, g.n):
-                if comp >> v & 1:
-                    labels[v] = k
-            k += 1
-        got = g._memo["components"] = (k, tuple(labels))
+        got = g._memo["components"] = _components(g.adjacency_bits)
     return got
+
+
+def _components(adj: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The flood behind :func:`connected_components`; ``adj[v]`` is the
+    neighborhood bitmask of vertex ``v`` (its own bit may be set)."""
+    n = len(adj)
+    labels = [-1] * n
+    k = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        # Flood from ``start``; ``todo`` holds reached, unexpanded vertices.
+        comp = todo = 1 << start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        for v in range(start, n):
+            if comp >> v & 1:
+                labels[v] = k
+        k += 1
+    return k, tuple(labels)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:

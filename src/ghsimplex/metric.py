@@ -40,7 +40,7 @@ from .errors import (
 from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
 from . import graphs
 from .graphs import CliqueCover, SimpleGraph, complement
-from .rationals import INF, RationalOrInf, exact
+from .rationals import INF, RationalOrInf, check_m, exact
 
 
 class ADPoint(NamedTuple):
@@ -171,8 +171,11 @@ class ThresholdTable:
     whose corners are the extreme ``(alpha, diam)`` pairs.  At ``i = 0``
     every point is its own component, the int matrix gives their cross
     distances, and cell ``(0, r-2)`` covers the graph of the pairs closer
-    than the diameter: the Borsuk graph.  A cell colors the complement of
-    its graph as one bitmask per ``cross`` row; it builds no graph object.
+    than the diameter: the Borsuk graph.  A level floods the components
+    of ``G_{<v_i}`` with the graph kernel, from one bitmask per row of the
+    int matrix, and a cell colors the complement of its graph as one
+    bitmask per ``cross`` row; neither builds a graph object.  ``corners``
+    and ``curve`` take m through the one block-count guard.
     Levels (per ``i > 0``), minimum covers (per ``(i, j)``), corners and
     the lambda-curves they fix (per m) are computed on first use and kept.
     """
@@ -190,7 +193,8 @@ class ThresholdTable:
     def _level(self, i: int) -> tuple[int, int, Sequence[Sequence[int]]]:
         """Components of ``G_{<v_i}``: their number, the largest int distance
         inside one (0 when all are single points) and the largest int
-        distance between each pair of them."""
+        distance between each pair of them.  Bit ``w`` of row ``u``'s mask
+        is set when ``ints[u][w] < v_i``; the graph flood reads the masks."""
         ints = self._ints
         n = len(ints)
         if i == 0:  # nothing is closer than v_0: the points and their matrix
@@ -198,18 +202,10 @@ class ThresholdTable:
         got = self._levels.get(i)
         if got is None:
             below = self._steps[i]
-            label = [-1] * n
-            k = 0
-            for start in range(n):
-                if label[start] == -1:
-                    label[start], stack = k, [start]
-                    while stack:
-                        row = ints[stack.pop()]
-                        for w in range(n):
-                            if label[w] == -1 and row[w] < below:
-                                label[w] = k
-                                stack.append(w)
-                    k += 1
+            bits = [1 << w for w in range(n)]
+            k, label = graphs._components(
+                tuple(sum(compress(bits, map(below.__gt__, row))) for row in ints)
+            )
             cross = [[0] * k for _ in range(k)]
             for u in range(n):
                 far = cross[label[u]]
@@ -249,6 +245,7 @@ class ThresholdTable:
     def corners(self, m: int) -> frozenset[ADPoint]:
         """The extreme ``(alpha, diam)`` pairs of the m-block partitions,
         for ``1 <= m <= n``; the one block of m = 1 has alpha = INF."""
+        check_m(m, len(self._ints))
         got = self._corners.get(m)
         if got is not None:
             return got
@@ -278,6 +275,7 @@ class ThresholdTable:
         """2 d_GH(lambda simplex_m, X) as a function of lambda, for m >= 1:
         max(diam X - lambda, R) with R the minimum over the corners c of
         max(d_c, lambda - alpha_c), and R = lambda for every m > n."""
+        check_m(m, None)
         n = len(self._ints)
         m = min(m, n + 1)
         got = self._curves.get(m)

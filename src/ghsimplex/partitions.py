@@ -29,12 +29,20 @@ restricted-growth-string order, and :func:`ad_set` collects every
 recursion over the space's int distance matrix.  The recursion places
 the free elements in order of their smallest distance to any other point
 and cuts a subtree as soon as no pair still to be placed can lower its
-separation or raise its diameter: the whole subtree then has one pair.  A scan may
-be restricted to the subtree under a fixed assignment of the first
-elements, which is how work is split across processes; merged results
-are identical to a sequential scan.  The tests hold the threshold route
-to this one, and this one to :func:`partition_alpha` and
-:func:`partition_diameter` over :func:`enumerate_partitions`.
+separation or raise its diameter: the whole subtree then has one pair,
+and a complete partition is the subtree with nothing left to place.  A
+scan may be restricted to the subtree under a fixed assignment of the
+first elements.  :func:`scan_prefixes` takes those assignments from the
+one enumerator, and :func:`ad_set_parallel` runs :func:`ad_set` on each
+across processes; the union is the sequential scan's set.  The tests
+hold the threshold route to this one, and this one to
+:func:`partition_alpha` and :func:`partition_diameter` over
+:func:`enumerate_partitions`.
+
+Every entry takes m through :func:`~ghsimplex.rationals.check_m`, and
+the distance entries take lambda through
+:meth:`~ghsimplex.curves.PiecewiseLinearCurve.evaluate`, so m is checked
+first.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .curves import PiecewiseLinearCurve
-from .errors import EmptyInput, InvalidM, NonPositiveLambda
+from .errors import EmptyInput
 from .metric import ADPoint, FiniteMetricSpace
-from .rationals import INF, RationalOrInf, exact
+from .rationals import INF, RationalOrInf, check_m
 
 
 class Partition(NamedTuple):
@@ -69,15 +77,9 @@ class Partition(NamedTuple):
 
 def partition_from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     """Canonicalize and validate a partition of ``range(n)``."""
-    norm = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (b[0] if b else -1))
-    flat: list[int] = []
-    for block in norm:
-        if not block:
-            raise ValueError("partition blocks must be non-empty")
-        flat.extend(block)
-    if sorted(flat) != list(range(n)):
-        raise ValueError(f"blocks must partition 0..{n - 1} exactly")
-    return Partition(tuple(norm))
+    norm = tuple(map(tuple, blocks))
+    _check_partition(norm, n)
+    return Partition(tuple(sorted(map(tuple, map(sorted, norm)), key=lambda b: b[0])))
 
 
 def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
@@ -88,8 +90,7 @@ def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if m < 1 or m > n:
-        raise InvalidM(m, n)
+    check_m(m, n)
     return _restricted_growth(n, m)
 
 
@@ -148,15 +149,24 @@ def _restricted_growth(n: int, m: int) -> Iterator[Partition]:
         start = p + 1
 
 
-def _check_partition(part: Partition, n: int) -> None:
-    flat = sorted(v for block in part.blocks for v in block)
-    if flat != list(range(n)):
-        raise ValueError(f"partition does not cover 0..{n - 1}")
+def _check_partition(blocks: Sequence[Sequence[int]], n: int) -> None:
+    """Non-empty blocks of int point indices that hold 0..n-1 once each."""
+    flat: list[int] = []
+    for block in blocks:
+        if not block:
+            raise ValueError("partition blocks must be non-empty")
+        for v in block:
+            # ``True == 1 == 1.0``: only the type tells them from point 1.
+            if type(v) is not int:
+                raise ValueError(f"partition member {v!r} is not a point index")
+        flat.extend(block)
+    if sorted(flat) != list(range(n)):
+        raise ValueError(f"blocks must partition 0..{n - 1} exactly")
 
 
 def partition_diameter(space: FiniteMetricSpace, part: Partition) -> Fraction:
     """Largest block diameter; 0 when every block is a singleton."""
-    _check_partition(part, space.n)
+    _check_partition(part.blocks, space.n)
     dist = space.dist
     best = Fraction(0)
     for block in part.blocks:
@@ -169,7 +179,7 @@ def partition_diameter(space: FiniteMetricSpace, part: Partition) -> Fraction:
 
 def partition_alpha(space: FiniteMetricSpace, part: Partition) -> RationalOrInf:
     """Smallest distance between two distinct blocks; INF for one block."""
-    _check_partition(part, space.n)
+    _check_partition(part.blocks, space.n)
     if part.m == 1:
         return INF
     assign = part.assignment()
@@ -231,7 +241,9 @@ def _scan_pairs(
     A node whose separation is already at most every distance still to
     be placed, and whose diameter is already at least every such one,
     yields its pair without descending: every node has a completion, and
-    none can lower the one or raise the other.
+    none can lower the one or raise the other.  Nothing is left to place
+    at ``i = n``, so that cut is also where every complete partition
+    yields its pair.
     """
     big = max(map(max, ints)) + 1
     out: set[tuple[int, int]] = set()
@@ -239,18 +251,14 @@ def _scan_pairs(
         prefix = (0,)
     used0, d0, a0 = _prefix_state(prefix, ints, m, n, big)
     start = len(prefix)
-    if start == n:
-        if used0 == m:
-            out.add((a0, d0))
-        return out
     order = list(range(start)) + sorted(
         range(start, n), key=lambda v: min(ints[v][:v] + ints[v][v + 1 :])
     )
     ints = [[ints[u][v] for v in order] for u in order]
     # floor[i] / ceil[i]: smallest / largest distance of a pair whose
     # larger element is >= i, that is, of a pair not yet placed at node i.
-    floor = [big] * n
-    ceil = [0] * n
+    floor = [big] * (n + 1)
+    ceil = [0] * (n + 1)
     lo, hi = big, 0
     for i in range(n - 1, 0, -1):
         row = ints[i][:i]
@@ -259,7 +267,6 @@ def _scan_pairs(
         floor[i] = lo
         ceil[i] = hi
     assign = list(prefix) + [0] * (n - start)
-    last = n - 1
 
     def rec(i: int, used: int, d_cur: int, a_cur: int) -> None:
         if a_cur <= floor[i] and d_cur >= ceil[i]:
@@ -287,21 +294,7 @@ def _scan_pairs(
                 arg1 = v
             elif bv < m2:
                 m2 = bv
-        can_join = used + (n - i - 1) >= m
-        if i == last:
-            if can_join:
-                for v in range(used):
-                    d2 = bmax[v]
-                    if d2 < d_cur:
-                        d2 = d_cur
-                    oth = m2 if v == arg1 else m1
-                    a2 = oth if oth < a_cur else a_cur
-                    out.add((a2, d2))
-            if used < m:
-                a2 = m1 if m1 < a_cur else a_cur
-                out.add((a2, d_cur))
-            return
-        if can_join:
+        if used + (n - i - 1) >= m:
             for v in range(used):
                 d2 = bmax[v]
                 if d2 < d_cur:
@@ -340,40 +333,29 @@ def ad_set(
     extending that restricted growth string; a full scan uses no prefix.
     """
     n = space.n
-    if m < 1 or m > n:
-        raise InvalidM(m, n)
+    check_m(m, n)
     return _pairs_to_points(_scan_pairs(space.ints, n, m, prefix), space)
 
 
 def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
     """Feasible restricted-growth prefixes of the given length, in scan order.
 
+    A prefix is the restricted growth string of a partition of its
+    ``depth`` elements into j blocks, and it is feasible when the
+    ``n - depth`` elements after it can open the other m - j blocks: the
+    strings of :func:`enumerate_partitions` for each such j, sorted.
     Every m-block partition of ``range(n)`` extends exactly one of them,
     so per-prefix scans split the work without overlap.
     """
-    if m < 1 or m > n:
-        raise InvalidM(m, n)
+    check_m(m, n)
     depth = max(1, min(depth, n))
-    out: list[tuple[int, ...]] = []
-
-    def rec(cur: list[int], used: int) -> None:
-        if len(cur) == depth:
-            if used + (n - depth) >= m:
-                out.append(tuple(cur))
-            return
-        for v in range(min(used + 1, m)):
-            cur.append(v)
-            rec(cur, max(used, v + 1))
-            cur.pop()
-
-    rec([0], 1)
-    return tuple(out)
-
-
-def _ad_pairs_for_prefix(
-    space: FiniteMetricSpace, m: int, prefix: tuple[int, ...]
-) -> frozenset[tuple[int, int]]:
-    return frozenset(_scan_pairs(space.ints, space.n, m, prefix))
+    return tuple(
+        sorted(
+            p.assignment()
+            for j in range(max(1, m - (n - depth)), min(depth, m) + 1)
+            for p in enumerate_partitions(depth, j)
+        )
+    )
 
 
 def ad_set_parallel(
@@ -382,25 +364,19 @@ def ad_set_parallel(
     prefix_depth: int = 3,
     max_workers: Optional[int] = None,
 ) -> frozenset[ADPoint]:
-    """Split the scan across processes by prefix; the union equals :func:`ad_set`."""
-    n = space.n
-    if m < 1 or m > n:
-        raise InvalidM(m, n)
-    prefixes = scan_prefixes(n, m, prefix_depth)
-    pairs: set[tuple[int, int]] = set()
-    worker = partial(_ad_pairs_for_prefix, space, m)
+    """:func:`ad_set` once per prefix of :func:`scan_prefixes`, across
+    processes; the union of the sets equals the full scan's."""
+    prefixes = scan_prefixes(space.n, m, prefix_depth)
+    worker = partial(ad_set, space, m)
     if max_workers is not None and max_workers <= 1:
-        for pfx in prefixes:
-            pairs |= worker(pfx)
-    else:
-        # Imported here: the pool machinery (multiprocessing) costs every
-        # CLI call its import time, and only this function needs it.
-        from concurrent.futures import ProcessPoolExecutor
+        return frozenset().union(*map(worker, prefixes))
+    # Imported here: the pool machinery (multiprocessing) costs every
+    # CLI call its import time, and only this function needs it.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for chunk in pool.map(worker, prefixes, chunksize=max(1, len(prefixes) // 16)):
-                pairs |= chunk
-    return _pairs_to_points(pairs, space)
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        chunks = pool.map(worker, prefixes, chunksize=max(1, len(prefixes) // 16))
+        return frozenset().union(*chunks)
 
 
 def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:
@@ -432,10 +408,7 @@ def gh_oracle(space: FiniteMetricSpace, m: int, lam: Union[Fraction, int, str]) 
     The value is read off :func:`gh_oracle_curve`, which the space keeps,
     so a lambda sweep builds the curve once per m.
     """
-    lam = exact(lam, "lambda")
-    if lam <= 0:
-        raise NonPositiveLambda(lam)
-    return gh_oracle_curve(space, m).at(lam)
+    return gh_oracle_curve(space, m).evaluate(lam)
 
 
 def gh_oracle_curve(space: FiniteMetricSpace, m: int) -> PiecewiseLinearCurve:
@@ -446,6 +419,4 @@ def gh_oracle_curve(space: FiniteMetricSpace, m: int) -> PiecewiseLinearCurve:
     threshold table fix it, so it is computed on the first query for each
     m and kept on the space.  Its ``case`` is None.
     """
-    if m < 1:
-        raise InvalidM(m, space.n)
     return space.thresholds.curve(m)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
-from .errors import ParseError
+from .errors import InvalidM, ParseError
 
 RationalOrInf = Union[Fraction, float]
 
@@ -40,6 +40,20 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
         except TypeError:
             pass
     raise TypeError(f"{what} must be exact (int, str or Fraction)")
+
+
+def check_m(m: int, top: Optional[int]) -> None:
+    """The one guard on a block count ``m`` at every public entry: an int
+    from 1 to ``top`` (no upper bound when ``top`` is None).
+
+    Any other type raises ``TypeError`` naming ``m``: a float such as 2.5
+    is no block count, and ``True`` is an int subclass but not a count.
+    An int out of range raises :class:`InvalidM`.
+    """
+    if type(m) is not int:
+        raise TypeError(f"m must be an int, got {type(m).__name__} {m!r}")
+    if m < 1 or (top is not None and m > top):
+        raise InvalidM(m, top)
 
 
 def parse_rational(text: str | int, where: str | None = None) -> Fraction:

@@ -17,6 +17,8 @@ from ghsimplex import (
     NonPositiveLambda,
     SimpleGraph,
     SinglePoint,
+    ad_set,
+    ad_set_parallel,
     borsuk_feasible,
     chromatic_number,
     chromatic_via_gh,
@@ -31,6 +33,7 @@ from ghsimplex import (
     cycle_graph,
     diameter,
     empty_graph,
+    enumerate_partitions,
     gh_curve,
     gh_oracle,
     gh_oracle_curve,
@@ -40,6 +43,7 @@ from ghsimplex import (
     min_distance_graph,
     partition_diameter,
     petersen_graph,
+    scan_prefixes,
     two_distance_space_from_graph,
     validate_metric,
 )
@@ -305,6 +309,23 @@ class TestCurve:
 
 INEXACT = [0.5, True]
 
+# Every public entry that takes a block count m, called on e1 (n = 4).
+M_ENTRIES = {
+    "gh_two_distance": lambda tds, m: gh_two_distance(tds, m, 1),
+    "gh_curve": gh_curve,
+    "classify_case": classify_case,
+    "classify_case_from_params": lambda tds, m: classify_case_from_params(m, 4, 2, 2),
+    "gh_oracle": lambda tds, m: gh_oracle(tds.base, m, 1),
+    "gh_oracle_curve": lambda tds, m: gh_oracle_curve(tds.base, m),
+    "borsuk_feasible": lambda tds, m: borsuk_feasible(tds.base, m),
+    "ad_set": lambda tds, m: ad_set(tds.base, m),
+    "ad_set_parallel": lambda tds, m: ad_set_parallel(tds.base, m, max_workers=1),
+    "scan_prefixes": lambda tds, m: scan_prefixes(4, m, 2),
+    "enumerate_partitions": lambda tds, m: list(enumerate_partitions(4, m)),
+    "corners": lambda tds, m: tds.base.thresholds.corners(m),
+    "curve": lambda tds, m: tds.base.thresholds.curve(m),
+}
+
 
 class TestExactInputs:
     @pytest.mark.parametrize("lam", INEXACT)
@@ -321,6 +342,16 @@ class TestExactInputs:
     def test_gh_oracle(self, e1_space, lam):
         with pytest.raises(TypeError):
             gh_oracle(e1_space, 2, lam)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    @pytest.mark.parametrize("entry", M_ENTRIES.values(), ids=M_ENTRIES.keys())
+    def test_block_count(self, e1_tds, entry, m):
+        """One TypeError naming m, also once the answers for m = 1 and 2,
+        which ``True`` and ``2.0`` equal and hash as, are kept."""
+        entry(e1_tds, 1)
+        entry(e1_tds, 2)
+        with pytest.raises(TypeError, match="m must be an int"):
+            entry(e1_tds, m)
 
     @pytest.mark.parametrize("via_gh", [clique_cover_via_gh, chromatic_via_gh])
     @pytest.mark.parametrize(

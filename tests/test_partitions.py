@@ -1,6 +1,8 @@
 import ast
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -106,6 +108,16 @@ class TestPartitionStatistics:
     def test_from_blocks_rejects_bad_cover(self):
         with pytest.raises(ValueError):
             partition_from_blocks([[0, 1], [1, 2]], 3)
+
+    @pytest.mark.parametrize("member", [True, 1.0, None, "1"])
+    def test_non_index_members_rejected(self, e1_space, member):
+        """``True == 1.0 == 1``, so only a type check tells them from point 1."""
+        named = re.escape(f"partition member {member!r} is not a point index")
+        with pytest.raises(ValueError, match=named):
+            partition_from_blocks([[0, member], [2, 3]], 4)
+        for stat in (partition_diameter, partition_alpha):
+            with pytest.raises(ValueError, match=named):
+                stat(e1_space, Partition(((0, member), (2, 3))))
 
     def test_all_singletons_diameter_zero(self, e1_space):
         p = partition_from_blocks([[0], [1], [2], [3]], 4)
@@ -303,6 +315,23 @@ class TestScanSplit:
             seen[head] += 1
         assert all(count > 0 for count in seen.values())
         assert sum(seen.values()) == stirling2(n, m)
+
+    def test_prefixes_against_brute_force(self):
+        """The restricted growth strings of the prefix length that the
+        elements after it can still complete to m blocks, filtered from a
+        product of value ranges (entry p of such a string is at most p) in
+        lexicographic order, which is scan order."""
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for depth in range(1, n + 2):
+                    size = min(depth, n)
+                    expected = tuple(
+                        t
+                        for t in itertools.product(*(range(min(p + 1, m)) for p in range(size)))
+                        if all(t[p] <= max(t[:p]) + 1 for p in range(1, size))
+                        and len(set(t)) + (n - size) >= m
+                    )
+                    assert scan_prefixes(n, m, depth) == expected, (n, m, depth)
 
     def test_prefix_restricted_union_equals_full(self):
         rng = random.Random(23)
@@ -680,3 +709,7 @@ class TestOracleCurve:
     def test_invalid_m(self, e1_space):
         with pytest.raises(InvalidM):
             gh_oracle_curve(e1_space, 0)
+        table = e1_space.thresholds
+        for call in (lambda: table.curve(0), lambda: table.corners(0), lambda: table.corners(5)):
+            with pytest.raises(InvalidM):
+                call()
