@@ -4,12 +4,15 @@ For a two-distance space X with values a < b on n points, let G be its
 minimal-distance graph, k the number of connected components of G and
 theta its clique covering number.  Twice the Gromov-Hausdorff distance
 between the m-point simplex of side lambda and X is then given by a
-nine-way case split on (m, n, k, theta); every case value is a maximum
-of affine functions of lambda.  Those pieces make one exact
-piecewise-linear curve per space and m, built on first use and kept on
-the space; :func:`gh_two_distance` reads its value off that curve.  It
-is the r = 2 instance of the partition oracle's curve, and the tests
-hold the two equal segment for segment.
+nine-way case split on (m, n, k, theta).  Each case names one extreme
+(alpha, diam) pair, and its value is the general formula with that pair
+alone: max(b - lambda, max(diam, lambda - alpha)).  The pair makes one
+exact piecewise-linear curve per space and m, built on first use by the
+builder the partition oracle also uses and kept on the space;
+:func:`gh_two_distance` reads its value off that curve.  It is the
+r = 2 instance of the oracle's curve: the tests hold the case's pair to
+the threshold table's corners and the two curves equal segment for
+segment.
 
 Run in reverse over a space built from a graph, the table recovers the
 clique covering number and the chromatic number of that graph.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
+from .curves import PiecewiseLinearCurve, curve_from_pairs
 from .errors import BadParameters, DegenerateGraph, SinglePoint
 from .graphs import (
     SimpleGraph,
@@ -37,6 +40,7 @@ from .graphs import (
     connected_components,
 )
 from .metric import (
+    ADPoint,
     FiniteMetricSpace,
     TwoDistanceSpace,
     min_distance_graph,
@@ -121,22 +125,23 @@ def classify_case(tds: TwoDistanceSpace, m: int) -> GHCase:
     return GHCase(tag, m, tds.n, k, theta)
 
 
-def _case_pieces(tag: GHCaseTag, a: Fraction, b: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    """The affine pieces (slope, intercept) whose maximum is the case formula."""
+def _case_pair(tag: GHCaseTag, a: Fraction, b: Fraction) -> ADPoint:
+    """The case's one extreme (alpha, diam) pair: the case formula is
+    max(b - lambda, max(diam, lambda - alpha))."""
     if tag is GHCaseTag.M_EQ_1:
-        return ((0, b),)
+        return ADPoint(INF, b)
     if tag in (GHCaseTag.M_LT_K, GHCaseTag.M_LE_K_LT_THETA):
-        return ((0, b), (1, -b))
+        return ADPoint(b, b)
     if tag is GHCaseTag.M_EQ_K_EQ_THETA:
-        return ((-1, b), (0, a), (1, -b))
+        return ADPoint(b, a)
     if tag is GHCaseTag.K_LT_M_LT_THETA:
-        return ((0, b), (1, -a))
+        return ADPoint(a, b)
     if tag in (GHCaseTag.K_EQ_THETA_LT_M_LT_N, GHCaseTag.THETA_LE_M_LT_N):
-        return ((-1, b), (0, a), (1, -a))
+        return ADPoint(a, a)
     if tag is GHCaseTag.M_EQ_N:
-        return ((-1, b), (1, -a))
+        return ADPoint(a, Fraction(0))
     assert tag is GHCaseTag.M_GT_N
-    return ((-1, b), (1, Fraction(0)))
+    return ADPoint(Fraction(0), Fraction(0))
 
 
 def gh_two_distance(
@@ -149,29 +154,14 @@ def gh_two_distance(
 
 def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
     """Exact lambda sweep of the case formula as a piecewise-linear curve,
-    built on the first query for each m and kept on the space.
-
-    Every case has the piece b - lambda or the constant b, so its formula
-    is max(b - lambda, R), with R the maximum of its slope-0 and slope-+1
-    pieces.
-    """
+    built on the first query for each m and kept on the space: the curve
+    of the case's one extreme pair."""
     # Checked before the lookup: True and 2.0 hash as the ints 1 and 2.
     check_m(m, None)
     got = tds.cases.get(m)
     if got is None:
         case = classify_case(tds, m)
-        pieces = _case_pieces(case.tag, tds.a, tds.b)
-        flat = [c for slope, c in pieces if slope == 0]
-        ramp = [c for slope, c in pieces if slope == 1]
-        zero = Fraction(0)
-        if not ramp:
-            rising = [CurveSegment(zero, INF, 0, flat[0])]
-        elif not flat:
-            rising = [CurveSegment(zero, INF, 1, ramp[0])]
-        else:
-            turn = flat[0] - ramp[0]
-            rising = [CurveSegment(zero, turn, 0, flat[0]), CurveSegment(turn, INF, 1, ramp[0])]
-        got = tds.cases[m] = PiecewiseLinearCurve(above_falling_line(tds.b, rising), case)
+        got = tds.cases[m] = curve_from_pairs(tds.b, (_case_pair(case.tag, tds.a, tds.b),), case)
     return got
 
 

@@ -60,6 +60,8 @@ class SimpleGraph:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"n must be an int, got {type(self.n).__name__} {self.n!r}")
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         normalized = set()

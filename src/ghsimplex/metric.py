@@ -37,7 +37,7 @@ from .errors import (
     NotTwoDistance,
     TriangleViolation,
 )
-from .curves import CurveSegment, PiecewiseLinearCurve, above_falling_line
+from .curves import PiecewiseLinearCurve, curve_from_pairs
 from . import graphs
 from .graphs import CliqueCover, SimpleGraph, complement
 from .rationals import INF, RationalOrInf, check_m, exact
@@ -273,35 +273,15 @@ class ThresholdTable:
 
     def curve(self, m: int) -> PiecewiseLinearCurve:
         """2 d_GH(lambda simplex_m, X) as a function of lambda, for m >= 1:
-        max(diam X - lambda, R) with R the minimum over the corners c of
-        max(d_c, lambda - alpha_c), and R = lambda for every m > n."""
+        the curve of :meth:`corners`, and of the one pair (0, 0) for every
+        m > n, where R = lambda."""
         check_m(m, None)
         n = len(self._ints)
         m = min(m, n + 1)
         got = self._curves.get(m)
         if got is None:
-            zero = Fraction(0)
-            diam = self._value(len(self._steps) - 2)
-            if m > n:
-                rising = [CurveSegment(zero, INF, 1, zero)]
-            else:
-                # Sorted by d, the extreme pairs rise in alpha too.  Each
-                # holds R at its d until lambda - alpha_c reaches it, and R
-                # follows that line until it meets the next pair's d.
-                pts = sorted(self.corners(m), key=lambda p: p.d)
-                rising = []
-                lo = zero
-                for c, p in enumerate(pts):
-                    if p.alpha == INF:
-                        rising.append(CurveSegment(lo, INF, 0, p.d))
-                        break
-                    turn = p.alpha + p.d
-                    hi = p.alpha + pts[c + 1].d if c + 1 < len(pts) else INF
-                    rising.append(CurveSegment(lo, turn, 0, p.d))
-                    rising.append(CurveSegment(turn, hi, 1, -p.alpha))
-                    lo = hi
-            got = PiecewiseLinearCurve(above_falling_line(diam, rising), None)
-            self._curves[m] = got
+            pairs = self.corners(m) if m <= n else (ADPoint(Fraction(0), Fraction(0)),)
+            got = self._curves[m] = curve_from_pairs(self._value(len(self._steps) - 2), pairs, None)
         return got
 
 

@@ -18,9 +18,11 @@ components has a small enough clique cover
 (:class:`~ghsimplex.metric.ThresholdTable`).  Sorted by diam, the
 extreme pairs also rise in alpha, so the minimum is a staircase of flat
 and rising pieces, and the whole formula is an exact piecewise-linear
-curve in lambda (:func:`gh_oracle_curve`).  Corners and curve depend on
-neither lambda nor the query, so they are kept on the space: a lambda
-sweep pays for them once, and each value is one binary search.
+curve in lambda (:func:`gh_oracle_curve`), built from the pairs by
+:func:`~ghsimplex.curves.curve_from_pairs` as the closed form's one pair
+per case is.  Corners and curve depend on neither lambda nor the query,
+so they are kept on the space: a lambda sweep pays for them once, and
+each value is one binary search.
 
 The enumeration route stays as the independent reference:
 :func:`enumerate_partitions` streams the partitions in lexicographic
@@ -88,6 +90,8 @@ def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
     Yields in lexicographic order of the restricted growth string; the
     count is the Stirling number of the second kind S(n, m).
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {type(n).__name__} {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     check_m(m, n)
@@ -198,11 +202,16 @@ def _prefix_state(
     prefix: Sequence[int], ints: Sequence[Sequence[int]], m: int, n: int, big: int
 ) -> tuple[int, int, int]:
     """used blocks, diameter and separation (as ints) of a partial assignment."""
-    if not prefix or prefix[0] != 0:
+    if not prefix:
         raise ValueError("a scan prefix must start with block 0")
+    if len(prefix) > n:
+        raise ValueError(f"prefix is longer than the n={n} points")
     used = 0
     for v in prefix:
-        if v > used:
+        # ``True == 1 == 1.0``: only the type tells them from block 1.
+        if type(v) is not int:
+            raise TypeError(f"prefix entries must be ints, got {type(v).__name__} {v!r}")
+        if not 0 <= v <= used:
             raise ValueError("prefix is not a restricted growth string")
         if v >= m:
             raise ValueError(f"prefix uses more than m={m} blocks")
@@ -348,6 +357,8 @@ def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
     so per-prefix scans split the work without overlap.
     """
     check_m(m, n)
+    if type(depth) is not int:
+        raise TypeError(f"prefix depth must be an int, got {type(depth).__name__} {depth!r}")
     depth = max(1, min(depth, n))
     return tuple(
         sorted(

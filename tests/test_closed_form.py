@@ -39,6 +39,7 @@ from ghsimplex import (
     gh_oracle_curve,
     gh_two_distance,
     graph_invariants,
+    h_value,
     is_clique,
     min_distance_graph,
     partition_diameter,
@@ -47,7 +48,7 @@ from ghsimplex import (
     two_distance_space_from_graph,
     validate_metric,
 )
-from ghsimplex.closed_form import _case_pieces
+from ghsimplex.closed_form import _case_pair
 from conftest import (
     all_graphs,
     random_cluster_two_distance,
@@ -239,32 +240,38 @@ class TestCurve:
         ]
 
     def test_curve_matches_pointwise_formula(self):
+        """The built curve against the formula of its case's pair, at every
+        m, so the pairs (a, 0) of m = n and (0, 0) of m > n are always met."""
         rng = random.Random(42)
         for _ in range(6):
             tds = random_two_distance(rng, 3, 7)
-            m = rng.randint(1, tds.n + 2)
-            curve = gh_curve(tds, m)
-            pieces = _case_pieces(classify_case(tds, m).tag, tds.a, tds.b)
-            for _ in range(100):
-                lam = F(rng.randint(1, 400), rng.randint(1, 40))
-                expected = max(slope * lam + intercept for slope, intercept in pieces)
-                assert curve.evaluate(lam) == expected
-                assert gh_two_distance(tds, m, lam).value == expected
+            for m in range(1, tds.n + 3):
+                curve = gh_curve(tds, m)
+                pair = _case_pair(classify_case(tds, m).tag, tds.a, tds.b)
+                for _ in range(100):
+                    lam = F(rng.randint(1, 400), rng.randint(1, 40))
+                    expected = max(tds.b - lam, h_value(pair, lam))
+                    assert curve.evaluate(lam) == expected
+                    assert gh_two_distance(tds, m, lam).value == expected
 
     def test_case_table_is_the_corner_curve_at_r2(self, e1_tds, e2_tds):
         """The paper's theorem is the two-distance instance of the corner
-        formula: the two curves agree segment for segment at every m, and
-        the case table's k and theta read off the r = 2 table: theta is
-        the cover size of cell (0, 0), the graph of the pairs closer than
-        b, and k the most blocks with separation and diameter at most a."""
+        formula: each case's one pair is the r = 2 table's only corner at
+        every m <= n, the two curves agree segment for segment at every m,
+        and the case table's k and theta read off the table: theta is the
+        cover size of cell (0, 0), the graph of the pairs closer than b,
+        and k the most blocks with separation and diameter at most a."""
         rng = random.Random(44)
         spaces = [e1_tds, e2_tds]
         spaces += [random_two_distance(rng, 3, 10) for _ in range(40)]
         spaces += [random_cluster_two_distance(rng, 4, 10) for _ in range(40)]
         for tds in spaces:
+            table = tds.base.thresholds
+            for m in range(1, tds.n + 1):
+                tag = classify_case(tds, m).tag
+                assert table.corners(m) == {_case_pair(tag, tds.a, tds.b)}, (tag, m)
             for m in range(1, tds.n + 2):
                 assert gh_curve(tds, m).segments == gh_oracle_curve(tds.base, m).segments
-            table = tds.base.thresholds
             k = max(m for m in range(1, tds.n + 1) if table.feasible(1, 1, m))
             assert (k, table.cover(0, 0).size) == graph_invariants(tds.graph)
 

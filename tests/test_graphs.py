@@ -46,6 +46,12 @@ class TestSimpleGraph:
         with pytest.raises(VertexOutOfRange):
             SimpleGraph(3, frozenset([(0, 3)]))
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_vertex_count_must_be_int(self, n):
+        """One TypeError naming n, not a crash in the first search."""
+        with pytest.raises(TypeError, match="n must be an int"):
+            chromatic_number(SimpleGraph(n))
+
 
 class TestComponents:
     def test_two_disjoint_edges(self):

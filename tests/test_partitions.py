@@ -350,6 +350,47 @@ class TestScanSplit:
         assert ad_set_parallel(space, 4, prefix_depth=3, max_workers=2) == expected
 
 
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda sp: ad_set(sp, 2, prefix=(0, True)), "prefix entries must be ints"),
+            (lambda sp: ad_set(sp, 2, prefix=(0, 1.0)), "prefix entries must be ints"),
+            (lambda sp: scan_prefixes(4, 2, 2.5), "prefix depth must be an int"),
+            (lambda sp: scan_prefixes(4, 2, True), "prefix depth must be an int"),
+            (
+                lambda sp: ad_set_parallel(sp, 2, prefix_depth=2.5, max_workers=1),
+                "prefix depth must be an int",
+            ),
+            (lambda sp: list(enumerate_partitions(2.0, 1)), "n must be an int"),
+            (lambda sp: list(enumerate_partitions(True, 1)), "n must be an int"),
+        ],
+        ids=[
+            "prefix_bool",
+            "prefix_float",
+            "depth_float",
+            "depth_bool",
+            "parallel_depth_float",
+            "n_float",
+            "n_bool",
+        ],
+    )
+    def test_non_int_arguments(self, e1_space, call, what):
+        """The block count's type rule: one TypeError naming the argument;
+        ``True`` is not block or depth 1."""
+        with pytest.raises(TypeError, match=what):
+            call(e1_space)
+
+    @pytest.mark.parametrize(
+        "prefix", [(), (1,), (0, 2), (0, -1), (0, 1, 2), (0, 0, 0, 0), (0, 1, 0, 1, 0)]
+    )
+    def test_bad_prefixes(self, e1_space, prefix):
+        """Every prefix that names no 2-block partition of e1's 4 points
+        is one ValueError: empty, not a restricted growth string, more than
+        m blocks, no way to open the second block, or longer than n."""
+        with pytest.raises(ValueError):
+            ad_set(e1_space, 2, prefix=prefix)
+
+
 class TestExtremePoints:
     def test_best_corner_dominates_everything(self):
         a, b = F(1), F(2)
