@@ -41,6 +41,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import EmptySubset, NodeLimitExceeded, SelfLoop, VertexOutOfRange
+from .rationals import check_int
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,10 @@ class SimpleGraph:
     """Undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` may be given as any iterable of vertex pairs; it is
-    normalized to a frozenset of ``(u, v)`` tuples with ``u < v``.
+    normalized to a frozenset of ``(u, v)`` tuples with ``u < v``.  An
+    edge that is not a pair raises ``ValueError``, an endpoint that is
+    not an int ``TypeError``, then a loop :class:`SelfLoop` and an
+    endpoint outside ``0..n-1`` :class:`VertexOutOfRange`.
     Instances are immutable and hashable.
     """
 
@@ -60,18 +64,20 @@ class SimpleGraph:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"n must be an int, got {type(self.n).__name__} {self.n!r}")
-        if self.n < 0:
+        n = self.n
+        if check_int(n, "n") < 0:
             raise ValueError("vertex count must be non-negative")
         normalized = set()
         for pair in self.edges:
-            u, v = pair
-            if u == v:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {pair!r} is not a pair of vertices") from None
+            if check_int(u, "vertex") == check_int(v, "vertex"):
                 raise SelfLoop(u)
             for w in (u, v):
-                if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < self.n:
-                    raise VertexOutOfRange(w, self.n)
+                if not 0 <= w < n:
+                    raise VertexOutOfRange(w, n)
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
@@ -121,7 +127,7 @@ class CliqueCover:
 
 
 def graph_from_edges(n: int, edges: Iterable[Iterable[int]]) -> SimpleGraph:
-    return SimpleGraph(n, frozenset(tuple(e) for e in edges))
+    return SimpleGraph(n, edges)
 
 
 def connected_components(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
@@ -183,7 +189,7 @@ def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:
     if not members:
         raise EmptySubset("a clique candidate must be non-empty")
     for v in members:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+        if not 0 <= check_int(v, "vertex") < g.n:
             raise VertexOutOfRange(v, g.n)
     adj = g.adjacency_bits
     mask = sum(1 << v for v in set(members))
@@ -256,6 +262,13 @@ def _normalize_coloring(colors: list[int]) -> tuple[int, tuple[int, ...]]:
     return len(relabel), tuple(out)
 
 
+def _check_budget(node_limit: Optional[int]) -> Optional[int]:
+    """``node_limit`` if it is None (no budget) or an int of at least 0."""
+    if node_limit is not None and check_int(node_limit, "node_limit") < 0:
+        raise ValueError(f"node_limit must be non-negative, got {node_limit}")
+    return node_limit
+
+
 class _Done(Exception):
     """Unwinds the coloring search once it meets the clique lower bound."""
 
@@ -266,13 +279,14 @@ def chromatic_number(
     """Exact chromatic number with a proper coloring witness.
 
     Without ``node_limit`` the answer is kept on ``g`` and later calls
-    read it.  ``node_limit`` bounds the number of branching decisions;
-    exceeding it raises :class:`NodeLimitExceeded` instead of returning
-    an approximation.  A call with a limit always searches and keeps
-    nothing, so it gives the same answer, or aborts after the same
-    number of nodes, however often ``g`` was colored before.
+    read it.  ``node_limit``, an int of at least 0, bounds the number of
+    branching decisions; exceeding it raises :class:`NodeLimitExceeded`
+    instead of returning an approximation.  A call with a limit always
+    searches and keeps nothing, so it gives the same answer, or aborts
+    after the same number of nodes, however often ``g`` was colored
+    before.
     """
-    if node_limit is not None:
+    if _check_budget(node_limit) is not None:
         return _color(g.adjacency_bits, node_limit)
     # The kernel is deterministic: two threads that both miss keep the
     # same answer.
@@ -403,6 +417,7 @@ def clique_cover_direct(
     Never consults the coloring solver; this is the independent second
     route for the theta(H) = gamma(H') cross-check.
     """
+    _check_budget(node_limit)
     n = g.n
     if n < 1:
         raise ValueError("clique cover needs at least one vertex")

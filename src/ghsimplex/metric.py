@@ -40,7 +40,7 @@ from .errors import (
 from .curves import PiecewiseLinearCurve, curve_from_pairs
 from . import graphs
 from .graphs import CliqueCover, SimpleGraph, complement
-from .rationals import INF, RationalOrInf, check_m, exact
+from .rationals import INF, RationalOrInf, check_int, check_m, exact
 
 
 class ADPoint(NamedTuple):
@@ -176,8 +176,9 @@ class ThresholdTable:
     int matrix, and a cell colors the complement of its graph as one
     bitmask per ``cross`` row; neither builds a graph object.  ``corners``
     and ``curve`` take m through the one block-count guard.
-    Levels (per ``i > 0``), minimum covers (per ``(i, j)``), corners and
-    the lambda-curves they fix (per m) are computed on first use and kept.
+    Levels (per ``i > 0``), minimum covers (per ``(i, j)``) and the
+    lambda-curves the corners fix (per m) are computed on first use and
+    kept.
     """
 
     def __init__(self, ints: Sequence[Sequence[int]], scale: int, steps: Sequence[int]) -> None:
@@ -187,7 +188,6 @@ class ThresholdTable:
         self._steps = (*steps, 0)
         self._levels: dict[int, tuple[int, int, Sequence[Sequence[int]]]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
-        self._corners: dict[int, frozenset[ADPoint]] = {}
         self._curves: dict[int, PiecewiseLinearCurve] = {}
 
     def _level(self, i: int) -> tuple[int, int, Sequence[Sequence[int]]]:
@@ -244,32 +244,27 @@ class ThresholdTable:
 
     def corners(self, m: int) -> frozenset[ADPoint]:
         """The extreme ``(alpha, diam)`` pairs of the m-block partitions,
-        for ``1 <= m <= n``; the one block of m = 1 has alpha = INF."""
+        for ``1 <= m <= n``; the one block of m = 1 has alpha = INF.  Read
+        off the kept levels and covers; :meth:`curve` keeps its result."""
         check_m(m, len(self._ints))
-        got = self._corners.get(m)
-        if got is not None:
-            return got
         r = len(self._steps) - 1
         if m == 1:
-            got = frozenset((ADPoint(INF, self._value(r - 1)),))
-        else:
-            # Two pointers: for each diameter bound, from the smallest up,
-            # push the separation bound as far as it stays feasible.  A
-            # corner is where that largest separation bound rises.
-            out: list[tuple[int, int]] = []
-            i = 0
-            for j in range(-1, r):
-                if not self.feasible(i, j, m):
-                    continue
-                while i + 1 < r and self.feasible(i + 1, j, m):
-                    i += 1
-                if not out or out[-1][0] < i:
-                    out.append((i, j))
-                if i + 1 == r or self._level(i + 1)[0] < m:
-                    break
-            got = frozenset(ADPoint(self._value(i), self._value(j)) for i, j in out)
-        self._corners[m] = got
-        return got
+            return frozenset((ADPoint(INF, self._value(r - 1)),))
+        # Two pointers: for each diameter bound, from the smallest up, push
+        # the separation bound as far as it stays feasible.  A corner is
+        # where that largest separation bound rises.
+        out: list[tuple[int, int]] = []
+        i = 0
+        for j in range(-1, r):
+            if not self.feasible(i, j, m):
+                continue
+            while i + 1 < r and self.feasible(i + 1, j, m):
+                i += 1
+            if not out or out[-1][0] < i:
+                out.append((i, j))
+            if i + 1 == r or self._level(i + 1)[0] < m:
+                break
+        return frozenset(ADPoint(self._value(i), self._value(j)) for i, j in out)
 
     def curve(self, m: int) -> PiecewiseLinearCurve:
         """2 d_GH(lambda simplex_m, X) as a function of lambda, for m >= 1:
@@ -370,7 +365,7 @@ def hausdorff_distance(
     if not sa or not sb:
         raise EmptySubset("Hausdorff distance needs two non-empty subsets")
     for v in sa + sb:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < space.n:
+        if not 0 <= check_int(v, "point index") < space.n:
             raise ValueError(f"index {v!r} is not a point of 0..{space.n - 1}")
     ints = space.ints
 
@@ -405,6 +400,8 @@ def two_distance_space_from_graph(
     a, b = exact(a, "a"), exact(b, "b")
     n = g.n
     ids = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
+    if len(ids) != n:
+        raise ValueError(f"labels must name the {n} vertices, got {len(ids)} labels")
     # Row i spells out i's neighbourhood mask, bit j first: a for a
     # neighbour, b otherwise.
     pick = {"1": a, "0": b}.__getitem__

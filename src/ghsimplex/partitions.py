@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .curves import PiecewiseLinearCurve
 from .errors import EmptyInput
 from .metric import ADPoint, FiniteMetricSpace
-from .rationals import INF, RationalOrInf, check_m
+from .rationals import INF, RationalOrInf, check_int, check_m
 
 
 class Partition(NamedTuple):
@@ -90,9 +90,7 @@ def enumerate_partitions(n: int, m: int) -> Iterator[Partition]:
     Yields in lexicographic order of the restricted growth string; the
     count is the Stirling number of the second kind S(n, m).
     """
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {type(n).__name__} {n!r}")
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise ValueError("n must be at least 1")
     check_m(m, n)
     return _restricted_growth(n, m)
@@ -159,11 +157,7 @@ def _check_partition(blocks: Sequence[Sequence[int]], n: int) -> None:
     for block in blocks:
         if not block:
             raise ValueError("partition blocks must be non-empty")
-        for v in block:
-            # ``True == 1 == 1.0``: only the type tells them from point 1.
-            if type(v) is not int:
-                raise ValueError(f"partition member {v!r} is not a point index")
-        flat.extend(block)
+        flat.extend(check_int(v, "partition member") for v in block)
     if sorted(flat) != list(range(n)):
         raise ValueError(f"blocks must partition 0..{n - 1} exactly")
 
@@ -208,10 +202,7 @@ def _prefix_state(
         raise ValueError(f"prefix is longer than the n={n} points")
     used = 0
     for v in prefix:
-        # ``True == 1 == 1.0``: only the type tells them from block 1.
-        if type(v) is not int:
-            raise TypeError(f"prefix entries must be ints, got {type(v).__name__} {v!r}")
-        if not 0 <= v <= used:
+        if not 0 <= check_int(v, "prefix entry") <= used:
             raise ValueError("prefix is not a restricted growth string")
         if v >= m:
             raise ValueError(f"prefix uses more than m={m} blocks")
@@ -356,10 +347,8 @@ def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
     Every m-block partition of ``range(n)`` extends exactly one of them,
     so per-prefix scans split the work without overlap.
     """
-    check_m(m, n)
-    if type(depth) is not int:
-        raise TypeError(f"prefix depth must be an int, got {type(depth).__name__} {depth!r}")
-    depth = max(1, min(depth, n))
+    check_m(m, check_int(n, "n"))
+    depth = max(1, min(check_int(depth, "prefix depth"), n))
     return tuple(
         sorted(
             p.assignment()
@@ -376,10 +365,13 @@ def ad_set_parallel(
     max_workers: Optional[int] = None,
 ) -> frozenset[ADPoint]:
     """:func:`ad_set` once per prefix of :func:`scan_prefixes`, across
-    processes; the union of the sets equals the full scan's."""
+    processes; the union of the sets equals the full scan's.  One worker
+    scans in-process; ``max_workers`` None lets the pool choose."""
     prefixes = scan_prefixes(space.n, m, prefix_depth)
+    if max_workers is not None and check_int(max_workers, "max_workers") < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     worker = partial(ad_set, space, m)
-    if max_workers is not None and max_workers <= 1:
+    if max_workers == 1:
         return frozenset().union(*map(worker, prefixes))
     # Imported here: the pool machinery (multiprocessing) costs every
     # CLI call its import time, and only this function needs it.

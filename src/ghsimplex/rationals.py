@@ -1,4 +1,4 @@
-"""Exact rational values and their string forms.
+"""Exact rational values, their string forms and the input guards.
 
 Every distance, threshold and result in this package is a
 ``fractions.Fraction``; nothing in the computational core touches
@@ -6,6 +6,13 @@ floats.  The single exception is ``INF`` (``math.inf``), which encodes
 the separation of a one-block partition (an empty infimum).  Mixing
 ``Fraction`` with ``math.inf`` in comparisons, ``max`` and ``min`` is
 exact, so no precision is ever lost.
+
+Two guards decide what a public entry accepts.  :func:`exact` takes a
+distance or lambda to a ``Fraction``.  :func:`check_int` is the one int
+rule for every count, index and budget (block counts, point counts,
+point and vertex indices, prefix entries, node limits, worker counts):
+an ``int`` itself, so never a ``bool``, a float or an ``int`` subclass.
+Each entry keeps its own range check after it.
 """
 
 from __future__ import annotations
@@ -42,17 +49,24 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
     raise TypeError(f"{what} must be exact (int, str or Fraction)")
 
 
+def check_int(value: object, what: str) -> int:
+    """``value`` if it is an ``int``, else a ``TypeError`` naming ``what``.
+
+    ``True == 1 == 1.0``, so only the type tells a bool or a float from
+    a count or an index; an int subclass (``bool``, an ``IntEnum``
+    member) is rejected too, so what the library keeps is a plain int.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    return value
+
+
 def check_m(m: int, top: Optional[int]) -> None:
     """The one guard on a block count ``m`` at every public entry: an int
-    from 1 to ``top`` (no upper bound when ``top`` is None).
-
-    Any other type raises ``TypeError`` naming ``m``: a float such as 2.5
-    is no block count, and ``True`` is an int subclass but not a count.
-    An int out of range raises :class:`InvalidM`.
+    (:func:`check_int`) from 1 to ``top`` (no upper bound when ``top`` is
+    None); an int out of range raises :class:`InvalidM`.
     """
-    if type(m) is not int:
-        raise TypeError(f"m must be an int, got {type(m).__name__} {m!r}")
-    if m < 1 or (top is not None and m > top):
+    if check_int(m, "m") < 1 or (top is not None and m > top):
         raise InvalidM(m, top)
 
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from ghsimplex import (
     cover_is_valid,
     cycle_graph,
     empty_graph,
+    graph_from_edges,
     graph_invariants,
     is_clique,
     is_cluster_graph,
@@ -45,6 +47,19 @@ class TestSimpleGraph:
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             SimpleGraph(3, frozenset([(0, 3)]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda e: SimpleGraph(3, e), lambda e: graph_from_edges(3, e)],
+        ids=["init", "from_edges"],
+    )
+    @pytest.mark.parametrize(
+        "edge", [(0, 1, 2), (0,), 5, None], ids=["triple", "single", "int", "none"]
+    )
+    def test_edge_must_be_a_pair(self, build, edge):
+        """An edge that is not a vertex pair is named, not unpacked."""
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} is not a pair"):
+            build([(0, 1), edge])
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_vertex_count_must_be_int(self, n):
@@ -100,12 +115,17 @@ class TestCliquePredicates:
             is_clique(TWO_EDGES, [])
 
     def test_non_vertex_members_rejected(self):
-        """True would read vertex 1 and 1.5 is no vertex; both are named."""
+        """True would read vertex 1 and 1.5 is no vertex; both are named by
+        their type.  -1 and n are ints out of range."""
         for bad in (True, 1.5, -1, TWO_EDGES.n):
             for members in ([bad], [bad, 0], [2, bad]):
-                with pytest.raises(VertexOutOfRange) as err:
-                    is_clique(TWO_EDGES, members)
-                assert err.value.vertex is bad
+                if type(bad) is int:
+                    with pytest.raises(VertexOutOfRange) as err:
+                        is_clique(TWO_EDGES, members)
+                    assert err.value.vertex is bad
+                else:
+                    with pytest.raises(TypeError, match=f"vertex must be an int, got .* {bad!r}"):
+                        is_clique(TWO_EDGES, members)
 
     def test_cluster_graph_examples(self):
         assert is_cluster_graph(TWO_EDGES)

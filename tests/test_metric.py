@@ -90,6 +90,13 @@ class TestValidateMetric:
         with pytest.raises(TypeError, match=rf"^{name} must be exact"):
             two_distance_space_from_graph(cycle_graph(5), a, b)
 
+    @pytest.mark.parametrize("count", [1, 4, 6])
+    def test_graph_space_labels_one_per_vertex(self, count):
+        """A label list of the wrong length is named before any matrix is built."""
+        labels = [f"q{i}" for i in range(count)]
+        with pytest.raises(ValueError, match=rf"^labels must name the 5 vertices, got {count}"):
+            two_distance_space_from_graph(cycle_graph(5), 1, F(3, 2), labels)
+
     def test_string_entries_parse_exactly(self):
         space = validate_metric(["p", "q"], [["0", "3/2"], ["1.5", "0"]])
         assert space.distance(0, 1) == F(3, 2)
@@ -163,10 +170,16 @@ class TestHausdorff:
 
     def test_index_out_of_range(self, e1_space):
         """-1 would read the last point, 4 the end of a row, True point 1 and
-        1.5 no point at all; each is rejected by name, in either subset."""
-        for bad in (-1, 4, True, 1.5):
+        1.5 no point at all; each is rejected by name, in either subset:
+        an int out of range by ``ValueError``, a non-int by ``TypeError``."""
+        for bad, error, what in (
+            (-1, ValueError, "index -1 is not a point of 0..3"),
+            (4, ValueError, "index 4 is not a point of 0..3"),
+            (True, TypeError, "point index must be an int, got bool True"),
+            (1.5, TypeError, "point index must be an int, got float 1.5"),
+        ):
             for a, b in (([bad], [0]), ([0, 1], [2, bad])):
-                with pytest.raises(ValueError, match=f"index {bad} is not a point of 0..3"):
+                with pytest.raises(error, match=what):
                     hausdorff_distance(e1_space, a, b)
 
     def test_symmetry_and_zero_iff_equal(self):

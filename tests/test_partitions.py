@@ -21,7 +21,9 @@ from ghsimplex import (
     ad_set,
     ad_set_parallel,
     borsuk_feasible,
+    chromatic_number,
     clique_cover_direct,
+    clique_cover_number,
     connected_components,
     cover_is_valid,
     diameter,
@@ -31,11 +33,13 @@ from ghsimplex import (
     gh_oracle_curve,
     gh_two_distance,
     h_value,
+    hausdorff_distance,
     is_clique,
     min_distance_graph,
     partition_alpha,
     partition_diameter,
     partition_from_blocks,
+    petersen_graph,
     scan_prefixes,
     validate_metric,
 )
@@ -112,11 +116,11 @@ class TestPartitionStatistics:
     @pytest.mark.parametrize("member", [True, 1.0, None, "1"])
     def test_non_index_members_rejected(self, e1_space, member):
         """``True == 1.0 == 1``, so only a type check tells them from point 1."""
-        named = re.escape(f"partition member {member!r} is not a point index")
-        with pytest.raises(ValueError, match=named):
+        named = re.escape(f"partition member must be an int, got {type(member).__name__} {member!r}")
+        with pytest.raises(TypeError, match=named):
             partition_from_blocks([[0, member], [2, 3]], 4)
         for stat in (partition_diameter, partition_alpha):
-            with pytest.raises(ValueError, match=named):
+            with pytest.raises(TypeError, match=named):
                 stat(e1_space, Partition(((0, member), (2, 3))))
 
     def test_all_singletons_diameter_zero(self, e1_space):
@@ -353,8 +357,8 @@ class TestScanSplit:
     @pytest.mark.parametrize(
         "call, what",
         [
-            (lambda sp: ad_set(sp, 2, prefix=(0, True)), "prefix entries must be ints"),
-            (lambda sp: ad_set(sp, 2, prefix=(0, 1.0)), "prefix entries must be ints"),
+            (lambda sp: ad_set(sp, 2, prefix=(0, True)), "prefix entry must be an int"),
+            (lambda sp: ad_set(sp, 2, prefix=(0, 1.0)), "prefix entry must be an int"),
             (lambda sp: scan_prefixes(4, 2, 2.5), "prefix depth must be an int"),
             (lambda sp: scan_prefixes(4, 2, True), "prefix depth must be an int"),
             (
@@ -363,6 +367,25 @@ class TestScanSplit:
             ),
             (lambda sp: list(enumerate_partitions(2.0, 1)), "n must be an int"),
             (lambda sp: list(enumerate_partitions(True, 1)), "n must be an int"),
+            (lambda sp: scan_prefixes(2.5, 2, 2), "n must be an int"),
+            (lambda sp: scan_prefixes(True, 1, 1), "n must be an int"),
+            (lambda sp: ad_set_parallel(sp, 2, max_workers=2.5), "max_workers must be an int"),
+            (lambda sp: ad_set_parallel(sp, 2, max_workers=True), "max_workers must be an int"),
+            (lambda sp: chromatic_number(petersen_graph(), 2.5), "node_limit must be an int"),
+            (lambda sp: chromatic_number(petersen_graph(), True), "node_limit must be an int"),
+            (lambda sp: clique_cover_number(petersen_graph(), 2.5), "node_limit must be an int"),
+            (lambda sp: clique_cover_number(petersen_graph(), True), "node_limit must be an int"),
+            (lambda sp: clique_cover_direct(petersen_graph(), 2.5), "node_limit must be an int"),
+            (lambda sp: clique_cover_direct(petersen_graph(), True), "node_limit must be an int"),
+            (lambda sp: SimpleGraph(3, [(0, 1.0)]), "vertex must be an int"),
+            (lambda sp: SimpleGraph(3, [(0, True)]), "vertex must be an int"),
+            (lambda sp: SimpleGraph(3, [(1.0, 1.0)]), "vertex must be an int"),
+            (lambda sp: is_clique(petersen_graph(), [0, 1.0]), "vertex must be an int"),
+            (lambda sp: is_clique(petersen_graph(), [0, True]), "vertex must be an int"),
+            (lambda sp: hausdorff_distance(sp, [0], [2.5]), "point index must be an int"),
+            (lambda sp: hausdorff_distance(sp, [0], [True]), "point index must be an int"),
+            (lambda sp: partition_from_blocks([[0, 1.0]], 2), "partition member must be an int"),
+            (lambda sp: partition_from_blocks([[0, True]], 2), "partition member must be an int"),
         ],
         ids=[
             "prefix_bool",
@@ -372,12 +395,48 @@ class TestScanSplit:
             "parallel_depth_float",
             "n_float",
             "n_bool",
+            "scan_n_float",
+            "scan_n_bool",
+            "max_workers_float",
+            "max_workers_bool",
+            "chromatic_budget_float",
+            "chromatic_budget_bool",
+            "cover_budget_float",
+            "cover_budget_bool",
+            "direct_budget_float",
+            "direct_budget_bool",
+            "edge_vertex_float",
+            "edge_vertex_bool",
+            "edge_loop_float",
+            "clique_member_float",
+            "clique_member_bool",
+            "hausdorff_index_float",
+            "hausdorff_index_bool",
+            "partition_member_float",
+            "partition_member_bool",
         ],
     )
     def test_non_int_arguments(self, e1_space, call, what):
-        """The block count's type rule: one TypeError naming the argument;
-        ``True`` is not block or depth 1."""
+        """The one int rule (``rationals.check_int``): one TypeError naming
+        the argument; ``True`` is not block, depth, vertex or budget 1."""
         with pytest.raises(TypeError, match=what):
+            call(e1_space)
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda sp: ad_set_parallel(sp, 2, max_workers=0), "max_workers must be at least 1"),
+            (lambda sp: ad_set_parallel(sp, 2, max_workers=-3), "max_workers must be at least 1"),
+            (lambda sp: chromatic_number(petersen_graph(), -1), "node_limit must be non-negative"),
+            (lambda sp: clique_cover_number(petersen_graph(), -1), "node_limit must be non-negative"),
+            (lambda sp: clique_cover_direct(petersen_graph(), -1), "node_limit must be non-negative"),
+        ],
+        ids=["workers_zero", "workers_negative", "chromatic", "cover", "direct"],
+    )
+    def test_budgets_out_of_range(self, e1_space, call, what):
+        """An int worker count below 1 or node budget below 0 is a ValueError;
+        before, they scanned in-process or aborted at the first node."""
+        with pytest.raises(ValueError, match=what):
             call(e1_space)
 
     @pytest.mark.parametrize(
