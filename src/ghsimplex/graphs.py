@@ -10,10 +10,14 @@ holds the two routes to exact agreement.
 The colorer (Brélaz's DSATUR order, CACM 1979) works on neighborhood
 bitmasks: a graph's ``adjacency_bits`` or a threshold-table cell's rows.
 It branches on the uncolored vertex of largest ``(saturation, degree,
--v)``, one packed int per vertex, and tries its colors in ascending
-order; one mask per color holds the vertices that color forbids, so a
-node costs one ``max`` and a step for each key that moves.  The tests
-hold the search, node for node, to a per-node tuple scan.
+-v)`` and tries its colors in ascending order.  The vertices are
+renumbered once by ``(degree, -v)``, and saturation is kept bit-sliced
+(after San Segundo et al.'s bitboard colorers): plane p is the mask of
+vertices whose count has bit p set.  So the branch vertex is a few mask
+operations, the planes narrowed from the top and then the lowest bit,
+and placing a color adds one to every newly saturated vertex with one
+ripple carry.  The tests hold the search, node for node, to a per-node
+tuple scan.
 
 Components come from one flood over the same masks: a graph's
 ``adjacency_bits`` for :func:`connected_components`, and one mask per
@@ -38,6 +42,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import EmptySubset, NodeLimitExceeded, SelfLoop, VertexOutOfRange
@@ -202,57 +207,96 @@ def is_cluster_graph(g: SimpleGraph) -> bool:
     return all(is_clique(g, [v for v, c in enumerate(labels) if c == b]) for b in range(k))
 
 
-def _dsatur_keys(adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """Static DSATUR keys and the step that adds one to a saturation.
+def _dsatur_order(adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The vertices renumbered by descending degree, ties toward the lowest
+    index: ``place[v]`` is the new number of vertex ``v``, and entry
+    ``place[v]`` of the second list its neighborhood in new numbers.
 
-    A key packs ``(saturation, degree, n - v)`` into one int, each field
-    wide enough for its largest value (``n``, ``n - 1`` and ``n``), so
-    comparing keys compares those tuples.  ``n - v`` is distinct per
-    vertex and breaks ties toward the lowest index.
+    This is the static part ``(degree, -v)`` of the DSATUR key, so in the
+    new numbering the lowest number wins every tie of saturation.  One
+    ``itemgetter`` call permutes a row's binary digits (after a leading
+    ``1`` that fixes their width).
     """
     n = len(adj)
-    width = n.bit_length()
-    keys = [(bits.bit_count() << width) | (n - v) for v, bits in enumerate(adj)]
-    return keys, 1 << (2 * width)
+    # A stable sort keeps ties in ascending order, also with reverse=True.
+    order = sorted(range(n), key=list(map(int.bit_count, adj)).__getitem__, reverse=True)
+    place = sorted(range(n), key=order.__getitem__)
+    digits = itemgetter(*[n + 2 - v for v in reversed(order)])
+    top = 1 << n
+    return place, [int("".join(digits(bin(top | adj[v]))), 2) for v in order]
 
 
-def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
-    """Greedy DSATUR coloring; an upper bound and the initial incumbent."""
+def _pick(free: int, sat: list[int]) -> int:
+    """The DSATUR branch vertex as a one-bit mask: of the vertices in
+    ``free``, those of largest saturation, narrowed through the counter
+    planes from the top, then the lowest (in static order) of them."""
+    for plane in reversed(sat):
+        most = free & plane
+        if most:
+            free = most
+    return free & -free
+
+
+def _increment(sat: list[int], gain: int) -> None:
+    """Add one to the saturation of every vertex in ``gain``: a ripple
+    carry through the planes, ``sat[p]`` holding bit p of each count."""
+    for p, plane in enumerate(sat):
+        sat[p] = plane ^ gain
+        gain &= plane
+        if not gain:
+            return
+
+
+def _first_fit(adj: list[int]) -> list[int]:
+    """Greedy DSATUR on renumbered ``adj``: each vertex :func:`_pick`
+    names takes its smallest free color.  Colors by place."""
     n = len(adj)
-    colors = [-1] * n
-    # forb[c]: the vertices with a neighbor of color c.
+    colors = [0] * n
+    # forb[c]: the uncolored vertices with a neighbor of color c.
     forb = [0] * n
-    key, step = _dsatur_keys(adj)
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(uncolored, key=key.__getitem__)
-        uncolored.remove(v)
+    # No saturation exceeds the largest degree, that of vertex 0.
+    sat = [0] * adj[0].bit_count().bit_length()
+    free = (1 << n) - 1
+    while free:
+        bit = _pick(free, sat)
+        free ^= bit
+        v = bit.bit_length() - 1
         c = 0
-        while forb[c] >> v & 1:
+        while forb[c] & bit:
             c += 1
         colors[v] = c
-        gain = adj[v] & ~forb[c]
-        forb[c] |= gain
-        while gain:
-            low = gain & -gain
-            key[low.bit_length() - 1] += step
-            gain ^= low
+        gain = adj[v] & free & ~forb[c]
+        if gain:
+            forb[c] |= gain
+            _increment(sat, gain)
     return colors
 
 
+def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
+    """Greedy DSATUR coloring; an upper bound and the initial incumbent.
+    (:func:`_color` runs :func:`_first_fit` on the numbering it keeps.)"""
+    place, placed = _dsatur_order(adj)
+    return list(map(_first_fit(placed).__getitem__, place))
+
+
+def _clique_mask(adj: list[int]) -> int:
+    """A maximal clique grown first-fit in the order of renumbered ``adj``."""
+    clique = 0
+    for i, bits in enumerate(adj):
+        if clique & ~bits == 0:
+            clique |= 1 << i
+    return clique
+
+
 def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
-    """A maximal clique grown greedily by descending degree; a lower bound for coloring."""
-    key, _ = _dsatur_keys(adj)
-    clique: list[int] = []
-    clique_mask = 0
-    for v in sorted(range(len(adj)), key=key.__getitem__, reverse=True):
-        if clique_mask & ~adj[v] == 0:
-            clique.append(v)
-            clique_mask |= 1 << v
-    return sorted(clique)
+    """A maximal clique grown greedily by descending degree; a lower bound
+    for coloring.  (:func:`_color` runs :func:`_clique_mask` itself.)"""
+    place, placed = _dsatur_order(adj)
+    clique = _clique_mask(placed)
+    return [v for v, i in enumerate(place) if clique >> i & 1]
 
 
-def _normalize_coloring(colors: list[int]) -> tuple[int, tuple[int, ...]]:
+def _normalize_coloring(colors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     relabel: dict[int, int] = {}
     out = []
     for c in colors:
@@ -303,11 +347,14 @@ def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[
     DSATUR-ordered branch-and-bound seeded with a greedy upper bound and a
     greedy-clique lower bound.  The clique vertices are pre-colored, which
     breaks color symmetry without affecting exactness.  Each node branches
-    on the uncolored vertex of largest ``(saturation, degree, -v)``, one
-    packed int per vertex (see :func:`_dsatur_keys`), then tries its free
-    colors in ascending order.  ``forb[c]`` holds the vertices with a
-    neighbor of color c, so when ``v`` takes c the keys that rise by one
-    step are the bits of ``adj[v] & uncolored & ~forb[c]``.
+    on the uncolored vertex of largest ``(saturation, degree, -v)``, then
+    tries its free colors in ascending order.  The search runs on the
+    numbering of :func:`_dsatur_order`, so :func:`_pick` finds that vertex
+    from the saturation planes alone; each incumbent is mapped back to
+    the original labels before it is normalized.  ``forb[c]`` holds the
+    vertices with a neighbor of color c, so when ``v`` takes c the
+    saturations that rise by one are the bits of
+    ``adj[v] & free & ~forb[c]``; a node restores the planes it saved.
     """
     n = len(adj)
     if n < 1:
@@ -315,34 +362,31 @@ def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[
     if not any(adj):
         return 1, (0,) * n
 
-    incumbent = _dsatur_greedy(adj)
-    best_k, best = _normalize_coloring(incumbent)
-    clique = _greedy_clique(adj)
-    lower = len(clique)
+    place, adj = _dsatur_order(adj)
+    best_k, best = _normalize_coloring(map(_first_fit(adj).__getitem__, place))
+    clique = _clique_mask(adj)
+    lower = clique.bit_count()
     if lower == best_k:
         return best_k, best
 
-    colors = [-1] * n
+    colors = [0] * n
     forb = [0] * n
-    clique_mask = 0
-    for c, v in enumerate(clique):
-        colors[v] = c
-        forb[c] = adj[v]
-        clique_mask |= 1 << v
-    key, step = _dsatur_keys(adj)
-    for v in range(n):
-        key[v] += (adj[v] & clique_mask).bit_count() * step
-    uncolored = set(range(n)).difference(clique)
-    free = ((1 << n) - 1) ^ clique_mask
-    by_key = key.__getitem__
+    free = ((1 << n) - 1) ^ clique
+    # No saturation reaches best_k: every color is below best_k - 1.
+    sat = [0] * (best_k - 1).bit_length()
+    # The clique takes colors 0, 1, ... in ascending original label.
+    for c, i in enumerate(i for i in place if clique >> i & 1):
+        colors[i] = c
+        forb[c] = adj[i]
+        _increment(sat, adj[i] & free)
     nodes = 0
 
-    def search(colored: int, used: int):
+    def search(used: int):
         nonlocal best_k, best, nodes, free
         if used >= best_k:
             return
-        if colored == n:
-            best_k, best = _normalize_coloring(colors)
+        if not free:
+            best_k, best = _normalize_coloring(map(colors.__getitem__, place))
             if best_k == lower:
                 raise _Done
             return
@@ -350,37 +394,30 @@ def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[
             if nodes >= node_limit:
                 raise NodeLimitExceeded(node_limit, nodes)
             nodes += 1
-        v = max(uncolored, key=by_key)
-        uncolored.remove(v)
-        bit = 1 << v
+        bit = _pick(free, sat)
+        v = bit.bit_length() - 1
         free ^= bit
         reach = adj[v] & free
-        for c in range(min(used + 1, best_k - 1)):
+        saved = sat[:]
+        for c in range(used + 1 if used + 1 < best_k else best_k - 1):
             was = forb[c]
             if was & bit:
                 continue
             colors[v] = c
             gain = reach & ~was
             forb[c] = was | gain
-            rest = gain
-            while rest:
-                low = rest & -rest
-                key[low.bit_length() - 1] += step
-                rest ^= low
-            search(colored + 1, max(used, c + 1))
+            _increment(sat, gain)
+            search(used if c < used else c + 1)
             forb[c] = was
-            while gain:
-                low = gain & -gain
-                key[low.bit_length() - 1] -= step
-                gain ^= low
-        colors[v] = -1
-        uncolored.add(v)
+            sat[:] = saved
         free |= bit
 
     try:
-        search(len(clique), lower)
+        search(lower)
     except _Done:
         pass
+    finally:
+        search = None  # break the closure's cycle through itself
     return best_k, best
 
 
@@ -456,7 +493,10 @@ def clique_cover_direct(
                 block_masks.pop()
             assign[v] = -1
 
-        search(0, [])
+        try:
+            search(0, [])
+        finally:
+            search = None  # break the closure's cycle through itself
     cover = CliqueCover(_blocks_from_assignment(best))
     return cover.size, cover
 
@@ -500,16 +540,19 @@ def empty_graph(n: int) -> SimpleGraph:
 
 
 def complete_graph(n: int) -> SimpleGraph:
+    check_int(n, "n")
     return SimpleGraph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def cycle_graph(n: int) -> SimpleGraph:
-    if n < 3:
+    if check_int(n, "n") < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return SimpleGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_bipartite_graph(p: int, q: int) -> SimpleGraph:
+    check_int(p, "p")
+    check_int(q, "q")
     return SimpleGraph(p + q, frozenset((u, p + v) for u in range(p) for v in range(q)))
 
 

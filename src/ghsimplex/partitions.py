@@ -308,7 +308,10 @@ def _scan_pairs(
             assign[i] = used
             rec(i + 1, used + 1, d_cur, a2)
 
-    rec(start, used0, d0, a0)
+    try:
+        rec(start, used0, d0, a0)
+    finally:
+        rec = None  # break the closure's cycle through itself
     return out
 
 
@@ -347,7 +350,9 @@ def scan_prefixes(n: int, m: int, depth: int) -> tuple[tuple[int, ...], ...]:
     Every m-block partition of ``range(n)`` extends exactly one of them,
     so per-prefix scans split the work without overlap.
     """
-    check_m(m, check_int(n, "n"))
+    if check_int(n, "n") < 1:
+        raise ValueError("n must be at least 1")
+    check_m(m, n)
     depth = max(1, min(check_int(depth, "prefix depth"), n))
     return tuple(
         sorted(

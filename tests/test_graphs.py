@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -13,6 +14,7 @@ from ghsimplex import (
     SelfLoop,
     SimpleGraph,
     VertexOutOfRange,
+    ad_set,
     chromatic_number,
     clique_cover_direct,
     clique_cover_number,
@@ -30,7 +32,8 @@ from ghsimplex import (
     min_distance_graph,
     petersen_graph,
 )
-from conftest import all_graphs, random_graph, random_two_distance
+from ghsimplex.graphs import _color
+from conftest import all_graphs, random_graph, random_metric_space, random_two_distance
 
 TWO_EDGES = SimpleGraph(4, frozenset([(0, 1), (2, 3)]))
 
@@ -362,14 +365,17 @@ def _mycielski_graph(k: int) -> SimpleGraph:
 
 
 def _same_tree_graphs() -> list[SimpleGraph]:
-    """Seeded G(n, p) and their complements (n = 16 and 32 fill every bit
-    of the ``n - v`` field), plus named graphs; most need a real search."""
+    """Seeded G(n, p) and their complements for n = 16..32, a G(40, 1/2)
+    pair whose searches both take over 1,000 nodes (the benchmark colors
+    graphs up to n = 45), plus named graphs; most need a real search."""
     rng = random.Random(61)
     graphs = []
     for n in (16, 20, 24, 28, 32):
         for p in (0.3, 0.5, 0.7):
             g = random_graph(rng, n, p)
             graphs += [g, complement(g)]
+    g = random_graph(random.Random(63), 40, 0.5)
+    graphs += [g, complement(g)]
     named = [complement(petersen_graph()), _queen_graph(5), _queen_graph(6), _mycielski_graph(4)]
     return graphs + named
 
@@ -480,6 +486,28 @@ class TestKeptAnswers:
         assert clique_cover_number(g, node_limit=cover_limit) == (theta, cover)
         assert graph_invariants(g)[1] == theta
         self._assert_copies_equal(g)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: _color(random_graph(random.Random(62), 24, 0.5).adjacency_bits, None),
+        lambda: clique_cover_direct(random_graph(random.Random(1), 12, 0.5)),
+        lambda: ad_set(random_metric_space(random.Random(2), 10), 3),
+    ],
+    ids=["color", "clique_cover_direct", "ad_set"],
+)
+def test_searches_leave_no_cyclic_garbage(search):
+    """A recursive search closure refers to itself; once the call returns,
+    nothing of it waits for the cycle collector."""
+    search()
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCliqueCover:

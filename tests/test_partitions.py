@@ -24,8 +24,11 @@ from ghsimplex import (
     chromatic_number,
     clique_cover_direct,
     clique_cover_number,
+    complete_bipartite_graph,
+    complete_graph,
     connected_components,
     cover_is_valid,
+    cycle_graph,
     diameter,
     enumerate_partitions,
     extreme_points,
@@ -386,6 +389,10 @@ class TestScanSplit:
             (lambda sp: hausdorff_distance(sp, [0], [True]), "point index must be an int"),
             (lambda sp: partition_from_blocks([[0, 1.0]], 2), "partition member must be an int"),
             (lambda sp: partition_from_blocks([[0, True]], 2), "partition member must be an int"),
+            (lambda sp: cycle_graph(5.0), "n must be an int"),
+            (lambda sp: complete_graph(2.5), "n must be an int"),
+            (lambda sp: complete_bipartite_graph(True, 2), "p must be an int"),
+            (lambda sp: complete_bipartite_graph(2, 1.0), "q must be an int"),
         ],
         ids=[
             "prefix_bool",
@@ -414,6 +421,10 @@ class TestScanSplit:
             "hausdorff_index_bool",
             "partition_member_float",
             "partition_member_bool",
+            "cycle_n_float",
+            "complete_n_float",
+            "bipartite_p_bool",
+            "bipartite_q_float",
         ],
     )
     def test_non_int_arguments(self, e1_space, call, what):
@@ -430,12 +441,23 @@ class TestScanSplit:
             (lambda sp: chromatic_number(petersen_graph(), -1), "node_limit must be non-negative"),
             (lambda sp: clique_cover_number(petersen_graph(), -1), "node_limit must be non-negative"),
             (lambda sp: clique_cover_direct(petersen_graph(), -1), "node_limit must be non-negative"),
+            (lambda sp: scan_prefixes(0, 1, 1), "^n must be at least 1$"),
+            (lambda sp: scan_prefixes(-2, 1, 1), "^n must be at least 1$"),
         ],
-        ids=["workers_zero", "workers_negative", "chromatic", "cover", "direct"],
+        ids=[
+            "workers_zero",
+            "workers_negative",
+            "chromatic",
+            "cover",
+            "direct",
+            "scan_n_zero",
+            "scan_n_negative",
+        ],
     )
     def test_budgets_out_of_range(self, e1_space, call, what):
-        """An int worker count below 1 or node budget below 0 is a ValueError;
-        before, they scanned in-process or aborted at the first node."""
+        """An int worker count below 1, node budget below 0 or scan size
+        below 1 is a ValueError; before, the first two scanned in-process or
+        aborted at the first node, and the last named the range of m."""
         with pytest.raises(ValueError, match=what):
             call(e1_space)
 
