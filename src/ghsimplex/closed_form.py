@@ -22,6 +22,9 @@ The same clique-cover argument decides the generalized Borsuk problem
 finite space: a part is below diam X exactly when it is a clique of
 G_{<diam X}, the graph of the pairs closer than diam X, so the answer is
 m >= theta(G_{<diam X}).  For a two-distance space that graph is G.
+Points pairwise at diam X need a part each, so more than m of them
+answer "no" at once: the decision first asks the greedy clique of the
+diameter pairs, and computes theta only when that clique is too small.
 """
 
 from __future__ import annotations
@@ -186,13 +189,19 @@ def borsuk_feasible(
     is the minimal-distance graph and the rule is the paper's m >= theta.
     The cover is the space's threshold-table cell at separation v_0 and
     diameter v_{r-2}, the largest distance below diam X, so it is
-    computed once per space.
+    computed once per space.  Before it, the cell's greedy clique (the
+    coloring kernel's own lower bound, points pairwise at diam X) answers
+    "no" with no coloring search when it has more than m points; a
+    feasible answer always comes from the exact cover.
     """
     n = space.n
     if n < 2:
         raise SinglePoint("the Borsuk question needs at least two points")
     check_m(m, n)
-    cover = space.thresholds.cover(0, len(space.steps) - 2)
+    table, j = space.thresholds, len(space.steps) - 2
+    if table.refutes(0, j, m):
+        return False, None
+    cover = table.cover(0, j)
     if m < cover.size:
         return False, None
     return True, _split_to_m_blocks(cover.blocks, m, n)

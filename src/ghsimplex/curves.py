@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
-from .errors import NonPositiveLambda
-from .rationals import INF, RationalOrInf, exact
+from .rationals import INF, RationalOrInf, check_lambda
 
 if TYPE_CHECKING:
     from .closed_form import GHCase
@@ -51,9 +50,7 @@ class PiecewiseLinearCurve:
         return tuple(seg.hi for seg in self.segments[:-1])
 
     def evaluate(self, lam: Union[Fraction, int, str]) -> Fraction:
-        lam = exact(lam, "lambda")
-        if lam <= 0:
-            raise NonPositiveLambda(lam)
+        lam = check_lambda(lam)
         seg = self.segments[bisect_left(self.breakpoints, lam)]
         if seg.slope == 0:
             return seg.intercept

@@ -17,7 +17,10 @@ vertices whose count has bit p set.  So the branch vertex is a few mask
 operations, the planes narrowed from the top and then the lowest bit,
 and placing a color adds one to every newly saturated vertex with one
 ripple carry.  The tests hold the search, node for node, to a per-node
-tuple scan.
+tuple scan.  Its lower bound, a clique grown greedily in the same static
+order, is taken on the masks as given (:func:`_greedy_clique`), so a
+caller that needs only the bound, such as a Borsuk refutation, pays for
+no renumbering.
 
 Components come from one flood over the same masks: a graph's
 ``adjacency_bits`` for :func:`connected_components`, and one mask per
@@ -43,7 +46,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import EmptySubset, NodeLimitExceeded, SelfLoop, VertexOutOfRange
 from .rationals import check_int
@@ -279,21 +282,23 @@ def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
     return list(map(_first_fit(placed).__getitem__, place))
 
 
-def _clique_mask(adj: list[int]) -> int:
-    """A maximal clique grown first-fit in the order of renumbered ``adj``."""
-    clique = 0
-    for i, bits in enumerate(adj):
-        if clique & ~bits == 0:
-            clique |= 1 << i
-    return clique
-
-
-def _greedy_clique(adj: tuple[int, ...]) -> list[int]:
-    """A maximal clique grown greedily by descending degree; a lower bound
-    for coloring.  (:func:`_color` runs :func:`_clique_mask` itself.)"""
-    place, placed = _dsatur_order(adj)
-    clique = _clique_mask(placed)
-    return [v for v, i in enumerate(place) if clique >> i & 1]
+def _greedy_clique(adj: Sequence[int]) -> list[int]:
+    """A maximal clique grown first-fit by descending degree, ties toward
+    the lowest index; its members in ascending order.  It is the lower
+    bound :func:`_color` starts from, grown in the static DSATUR order on
+    the masks as given, so a caller that wants only the bound pays for no
+    renumbering."""
+    # ``common``: the vertices adjacent to every member so far.
+    common = -1
+    members = []
+    for v in sorted(range(len(adj)), key=list(map(int.bit_count, adj)).__getitem__, reverse=True):
+        if common >> v & 1:
+            common &= adj[v]
+            members.append(v)
+            if not common:
+                break
+    members.sort()
+    return members
 
 
 def _normalize_coloring(colors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -344,8 +349,9 @@ def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[
     """The coloring search behind :func:`chromatic_number`; ``adj[v]`` is
     the neighborhood bitmask of vertex ``v``.
 
-    DSATUR-ordered branch-and-bound seeded with a greedy upper bound and a
-    greedy-clique lower bound.  The clique vertices are pre-colored, which
+    DSATUR-ordered branch-and-bound seeded with a greedy upper bound and
+    the lower bound of :func:`_greedy_clique`, mapped into the search's
+    numbering.  The clique vertices are pre-colored, which
     breaks color symmetry without affecting exactness.  Each node branches
     on the uncolored vertex of largest ``(saturation, degree, -v)``, then
     tries its free colors in ascending order.  The search runs on the
@@ -362,20 +368,21 @@ def _color(adj: tuple[int, ...], node_limit: Optional[int]) -> tuple[int, tuple[
     if not any(adj):
         return 1, (0,) * n
 
+    clique = _greedy_clique(adj)
     place, adj = _dsatur_order(adj)
     best_k, best = _normalize_coloring(map(_first_fit(adj).__getitem__, place))
-    clique = _clique_mask(adj)
-    lower = clique.bit_count()
+    lower = len(clique)
     if lower == best_k:
         return best_k, best
 
+    clique = [place[v] for v in clique]
     colors = [0] * n
     forb = [0] * n
-    free = ((1 << n) - 1) ^ clique
+    free = ((1 << n) - 1) ^ sum(1 << i for i in clique)
     # No saturation reaches best_k: every color is below best_k - 1.
     sat = [0] * (best_k - 1).bit_length()
     # The clique takes colors 0, 1, ... in ascending original label.
-    for c, i in enumerate(i for i in place if clique >> i & 1):
+    for c, i in enumerate(clique):
         colors[i] = c
         forb[c] = adj[i]
         _increment(sat, adj[i] & free)

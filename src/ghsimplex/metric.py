@@ -173,12 +173,14 @@ class ThresholdTable:
     distances, and cell ``(0, r-2)`` covers the graph of the pairs closer
     than the diameter: the Borsuk graph.  A level floods the components
     of ``G_{<v_i}`` with the graph kernel, from one bitmask per row of the
-    int matrix, and a cell colors the complement of its graph as one
-    bitmask per ``cross`` row; neither builds a graph object.  ``corners``
-    and ``curve`` take m through the one block-count guard.
-    Levels (per ``i > 0``), minimum covers (per ``(i, j)``) and the
-    lambda-curves the corners fix (per m) are computed on first use and
-    kept.
+    int matrix, and a cell colors the complement of its graph, its clash
+    masks, one bitmask per ``cross`` row; neither builds a graph object.
+    A cell's greedy clique, the bound the coloring kernel starts from,
+    can refute an m-block cover without a search (:meth:`refutes`).
+    ``corners`` and ``curve`` take m through the one block-count guard.
+    Levels (per ``i > 0``), clash masks and minimum covers (per
+    ``(i, j)``) and the lambda-curves the corners fix (per m) are
+    computed on first use and kept.
     """
 
     def __init__(self, ints: Sequence[Sequence[int]], scale: int, steps: Sequence[int]) -> None:
@@ -187,6 +189,7 @@ class ThresholdTable:
         # v_j, then 0 for ``j = -1``.
         self._steps = (*steps, 0)
         self._levels: dict[int, tuple[int, int, Sequence[Sequence[int]]]] = {}
+        self._clashes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._covers: dict[tuple[int, int], CliqueCover] = {}
         self._curves: dict[int, PiecewiseLinearCurve] = {}
 
@@ -219,20 +222,43 @@ class ThresholdTable:
             got = self._levels[i] = (k, inner, cross)
         return got
 
-    def cover(self, i: int, j: int) -> CliqueCover:
-        """A minimum clique cover of the compatibility graph at ``(v_i, v_j)``,
-        on the components of ``G_{<v_i}`` numbered by their smallest point:
-        the color classes of its complement, where bit ``d`` of row ``c``
-        is set when ``cross[c][d]`` exceeds ``v_j``."""
-        got = self._covers.get((i, j))
+    def _clash(self, i: int, j: int) -> tuple[int, ...]:
+        """The complement of the compatibility graph at ``(v_i, v_j)``, one
+        bitmask per component of ``G_{<v_i}``: bit ``d`` of row ``c`` is
+        set when ``cross[c][d]`` exceeds ``v_j``."""
+        got = self._clashes.get((i, j))
         if got is None:
             k, _, cross = self._level(i)
             top = self._steps[j]
             bits = [1 << d for d in range(k)]
-            clash = tuple(sum(compress(bits, map(top.__lt__, row))) for row in cross)
-            _, coloring = graphs._color(clash, None)
+            got = self._clashes[(i, j)] = tuple(
+                sum(compress(bits, map(top.__lt__, row))) for row in cross
+            )
+        return got
+
+    def cover(self, i: int, j: int) -> CliqueCover:
+        """A minimum clique cover of the compatibility graph at ``(v_i, v_j)``,
+        on the components of ``G_{<v_i}`` numbered by their smallest point:
+        the color classes of its complement, the cell's clash masks."""
+        got = self._covers.get((i, j))
+        if got is None:
+            _, coloring = graphs._color(self._clash(i, j), None)
             got = self._covers[(i, j)] = CliqueCover(graphs._blocks_from_assignment(coloring))
         return got
+
+    def refutes(self, i: int, j: int, m: int) -> bool:
+        """Is an m-block cover of the cell ruled out without a search?
+
+        With the cell's minimum cover kept, its size answers exactly.
+        Otherwise the greedy clique the coloring kernel starts from, grown
+        on the clash masks, answers when it has more than m members:
+        components pairwise too far apart to share a block.  False leaves
+        the question open.
+        """
+        got = self._covers.get((i, j))
+        if got is not None:
+            return got.size > m
+        return len(graphs._greedy_clique(self._clash(i, j))) > m
 
     def feasible(self, i: int, j: int, m: int) -> bool:
         """Is there an m-block partition with ``alpha >= v_i`` and ``diam <= v_j``?"""

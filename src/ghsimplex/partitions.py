@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .curves import PiecewiseLinearCurve
 from .errors import EmptyInput
 from .metric import ADPoint, FiniteMetricSpace
-from .rationals import INF, RationalOrInf, check_int, check_m
+from .rationals import INF, RationalOrInf, check_int, check_lambda, check_m, exact
 
 
 class Partition(NamedTuple):
@@ -389,8 +389,9 @@ def ad_set_parallel(
 
 def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:
     """Non-dominated subset: keep (alpha, d) unless some other point has
-    alpha' >= alpha and d' <= d."""
-    pts = {ADPoint(a, d) for a, d in ad}
+    alpha' >= alpha and d' <= d.  Each coordinate goes through
+    :func:`~ghsimplex.rationals.exact`; alpha may also be ``INF``."""
+    pts = {ADPoint(a if a == INF else exact(a, "alpha"), exact(d, "d")) for a, d in ad}
     if not pts:
         raise EmptyInput("cannot take extreme points of an empty set")
     keep = [
@@ -401,8 +402,10 @@ def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:
     return frozenset(keep)
 
 
-def h_value(point: ADPoint, lam: Fraction) -> Fraction:
-    """max(d, lambda - alpha); the alpha = INF convention makes this d."""
+def h_value(point: ADPoint, lam: Union[Fraction, int, str]) -> Fraction:
+    """max(d, lambda - alpha); the alpha = INF convention makes this d.
+    lambda goes through :func:`~ghsimplex.rationals.check_lambda`."""
+    lam = check_lambda(lam)
     if point.alpha == INF:
         return point.d
     return max(point.d, lam - point.alpha)

@@ -7,8 +7,9 @@ the separation of a one-block partition (an empty infimum).  Mixing
 ``Fraction`` with ``math.inf`` in comparisons, ``max`` and ``min`` is
 exact, so no precision is ever lost.
 
-Two guards decide what a public entry accepts.  :func:`exact` takes a
-distance or lambda to a ``Fraction``.  :func:`check_int` is the one int
+Three guards decide what a public entry accepts.  :func:`exact` takes a
+distance or a coordinate to a ``Fraction``, and :func:`check_lambda` a
+simplex side to a positive one.  :func:`check_int` is the one int
 rule for every count, index and budget (block counts, point counts,
 point and vertex indices, prefix entries, node limits, worker counts):
 an ``int`` itself, so never a ``bool``, a float or an ``int`` subclass.
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InvalidM, ParseError
+from .errors import InvalidM, NonPositiveLambda, ParseError
 
 RationalOrInf = Union[Fraction, float]
 
@@ -47,6 +48,19 @@ def exact(value: Union[Fraction, int, str], what: str) -> Fraction:
         except TypeError:
             pass
     raise TypeError(f"{what} must be exact (int, str or Fraction)")
+
+
+def check_lambda(lam: Union[Fraction, int, str]) -> Fraction:
+    """The side of a simplex as a ``Fraction``: :func:`exact`, then a
+    :class:`NonPositiveLambda` unless it is above 0.  The one guard on
+    lambda, for a curve's value and for :func:`~ghsimplex.partitions.h_value`."""
+    # A curve is evaluated once per lambda of a sweep: skip the call for
+    # a Fraction, which ``exact`` returns as it is.
+    if type(lam) is not Fraction:
+        lam = exact(lam, "lambda")
+    if lam <= 0:
+        raise NonPositiveLambda(lam)
+    return lam
 
 
 def check_int(value: object, what: str) -> int:

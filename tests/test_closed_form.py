@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from ghsimplex import (
+    ADPoint,
     BadParameters,
     DegenerateGraph,
     GHCaseTag,
@@ -34,6 +35,7 @@ from ghsimplex import (
     diameter,
     empty_graph,
     enumerate_partitions,
+    extreme_points,
     gh_curve,
     gh_oracle,
     gh_oracle_curve,
@@ -48,6 +50,7 @@ from ghsimplex import (
     two_distance_space_from_graph,
     validate_metric,
 )
+from ghsimplex import graphs
 from ghsimplex.closed_form import _case_pair
 from conftest import (
     all_graphs,
@@ -350,6 +353,24 @@ class TestExactInputs:
         with pytest.raises(TypeError):
             gh_oracle(e1_space, 2, lam)
 
+    @pytest.mark.parametrize("lam", INEXACT)
+    def test_h_value(self, lam):
+        with pytest.raises(TypeError, match="lambda must be exact"):
+            h_value(ADPoint(F(1), F(1)), lam)
+
+    @pytest.mark.parametrize("lam", [0, -5, F(-1, 2)])
+    def test_h_value_rejects_nonpositive(self, lam):
+        for point in (ADPoint(F(1), F(1)), ADPoint(INF, F(1))):
+            with pytest.raises(NonPositiveLambda):
+                h_value(point, lam)
+
+    @pytest.mark.parametrize("x", INEXACT)
+    def test_extreme_points(self, x):
+        with pytest.raises(TypeError, match="alpha must be exact"):
+            extreme_points([(x, F(2)), (F(1), F(3))])
+        with pytest.raises(TypeError, match="d must be exact"):
+            extreme_points([(INF, x)])
+
     @pytest.mark.parametrize("m", [2.5, 2.0, True])
     @pytest.mark.parametrize("entry", M_ENTRIES.values(), ids=M_ENTRIES.keys())
     def test_block_count(self, e1_tds, entry, m):
@@ -376,6 +397,9 @@ class TestExactInputs:
             ("lambda", lambda: gh_two_distance(e1_tds, 2, text)),
             ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(text)),
             ("lambda", lambda: gh_oracle(e1_tds.base, 2, text)),
+            ("lambda", lambda: h_value(ADPoint(F(1), F(1)), text)),
+            ("alpha", lambda: extreme_points([(text, F(1))])),
+            ("d", lambda: extreme_points([(INF, text)])),
             ("a", lambda: clique_cover_via_gh(cycle_graph(5), text, 2)),
             ("dist[0][2]", lambda: validate_metric("pqr", [[0, 1, text], [1, 0, 1], [text, 1, 0]])),
             ("dist[2][2]", lambda: validate_metric("pqr", [[0, 1, 1], [1, 0, 1], [1, 1, text]])),
@@ -392,6 +416,9 @@ class TestExactInputs:
             ("lambda", lambda: gh_two_distance(e1_tds, 2, bad)),
             ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(bad)),
             ("lambda", lambda: gh_oracle(e1_tds.base, 2, bad)),
+            ("lambda", lambda: h_value(ADPoint(F(1), F(1)), bad)),
+            ("alpha", lambda: extreme_points([(bad, F(1))])),
+            ("d", lambda: extreme_points([(INF, bad)])),
             ("a", lambda: two_distance_space_from_graph(cycle_graph(5), bad, 2)),
             ("b", lambda: two_distance_space_from_graph(cycle_graph(5), 1, bad)),
             ("dist[0][1]", lambda: validate_metric(["a", "b"], [[0, bad], [bad, 0]])),
@@ -478,6 +505,67 @@ class TestBorsuk:
         copy = validate_metric(space.points, space.dist)
         assert [borsuk_feasible(copy, m) for m in range(1, 9)] == first
         assert len(calls) == 2
+
+    @staticmethod
+    def _planted_clique_space(rng: random.Random, n: int, q: int):
+        """Distances in [1, 2) off the diameter pairs; the diameter 2 on the
+        pairs of points 0..q-1 and on random pairs of the n - q < q others.
+        Every planted point is farther than the diameter from more points
+        than any other point, so the greedy clique is the planted one."""
+        matrix = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                planted = j < q or (i >= q and rng.random() < 0.5)
+                d = F(2) if planted else F(rng.randint(10, 19), 10)
+                matrix[i][j] = matrix[j][i] = d
+        return validate_metric([f"p{i}" for i in range(n)], matrix)
+
+    def test_planted_clique_refutes_without_a_search(self, color_searches):
+        rng = random.Random(47)
+        for _ in range(12):
+            n = rng.randint(6, 11)
+            q = rng.randint(n // 2 + 1, n)
+            space = self._planted_clique_space(rng, n, q)
+            for m in range(1, q):
+                assert borsuk_feasible(space, m) == (False, None)
+            assert color_searches == []
+            # theta is q: the q planted points need a block each, and the
+            # others fewer than q blocks.
+            feasible, witness = borsuk_feasible(space, q)
+            assert feasible and partition_diameter(space, witness) < 2
+            assert len(color_searches) == 1
+            color_searches.clear()
+
+    def test_refuting_clique_is_pairwise_at_the_diameter(self):
+        rng = random.Random(49)
+        refuted = 0
+        for _ in range(40):
+            space = random_metric_space(rng, rng.randint(2, 9), 4)
+            table, j = space.thresholds, len(space.steps) - 2
+            clique = graphs._greedy_clique(table._clash(0, j))
+            top = space.steps[-1]
+            assert all(space.ints[u][v] == top for u in clique for v in clique if u != v)
+            for m in range(1, space.n + 1):
+                if table.refutes(0, j, m):
+                    refuted += 1
+                    assert len(clique) > m and borsuk_feasible(space, m) == (False, None)
+        assert refuted > 40
+
+    def test_an_unrefuted_infeasible_decision_searches_once(self, color_searches):
+        """The diameter pairs of this space form a 5-cycle: its greedy
+        clique has 2 points, but theta of the graph of the closer pairs
+        (the complementary 5-cycle) is 3."""
+        space = two_distance_space_from_graph(cycle_graph(5), F(1), F(3, 2)).base
+        table, j = space.thresholds, len(space.steps) - 2
+        assert borsuk_feasible(space, 1) == (False, None)
+        assert color_searches == []
+        assert not table.refutes(0, j, 2)
+        assert borsuk_feasible(space, 2) == (False, None)
+        assert color_searches == [None]
+        # With the cover kept, the table refutes m = 2 by its size.
+        assert table.refutes(0, j, 2) and not table.refutes(0, j, 3)
+        assert borsuk_feasible(space, 3)[0]
+        assert color_searches == [None]
 
     def test_duality_matches_theta_and_oracle(self):
         rng = random.Random(45)
