@@ -29,6 +29,11 @@ point of the pairs closer than a bound for a threshold-table level.
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
 
+A graph's neighborhood masks are filled in the one walk that checks
+and normalizes its edges.  :func:`complement` builds the complement
+from them, each mask flipped, and reads its edges off the new masks, so
+no edge is checked twice or walked again.
+
 A graph keeps its exact answers: :func:`complement` builds the
 complement once and keeps it, and an unbudgeted :func:`chromatic_number`
 keeps its ``(chi, coloring)``.  So a graph is colored at most once,
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -66,6 +70,10 @@ class SimpleGraph:
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
+    # Neighborhoods as bitmasks: bit ``w`` of entry ``v`` is set when
+    # ``v`` and ``w`` are adjacent.  Every routine here reads these; they
+    # are filled with the edges, in one walk.
+    adjacency_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The answers kept on the graph: its components, its exact coloring
     # and its complement (the graph itself, or a weak link on the
     # complement that :func:`complement` built).
@@ -76,6 +84,7 @@ class SimpleGraph:
         if check_int(n, "n") < 0:
             raise ValueError("vertex count must be non-negative")
         normalized = set()
+        bits = [0] * n
         for pair in self.edges:
             try:
                 u, v = pair
@@ -87,17 +96,10 @@ class SimpleGraph:
                 if not 0 <= w < n:
                     raise VertexOutOfRange(w, n)
             normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
-
-    @cached_property
-    def adjacency_bits(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks: bit ``w`` of entry ``v`` is set when
-        ``v`` and ``w`` are adjacent.  Every routine here reads these."""
-        bits = [0] * self.n
-        for u, v in self.edges:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-        return tuple(bits)
+        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "adjacency_bits", tuple(bits))
 
     def __reduce__(self):
         # A copy rebuilds its kept answers on demand; a weak link cannot
@@ -183,12 +185,32 @@ def complement(g: SimpleGraph) -> SimpleGraph:
     link = g._memo.get("complement")
     h = link() if isinstance(link, weakref.ref) else link
     if h is None:
+        full = (1 << g.n) - 1
         adj = g.adjacency_bits
-        edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adj[u] >> v & 1]
-        h = SimpleGraph(g.n, frozenset(edges))
+        h = _graph_from_masks(tuple(full ^ adj[v] ^ (1 << v) for v in range(g.n)))
         g._memo["complement"] = h
         h._memo["complement"] = weakref.ref(g)
     return h
+
+
+def _graph_from_masks(adj: tuple[int, ...]) -> SimpleGraph:
+    """The graph whose neighborhood masks are ``adj``, which must be
+    symmetric with no vertex's own bit set.  The masks are kept as given
+    and the edges read off them, so no edge is checked: the public
+    constructor checks every edge it is handed."""
+    edges = []
+    for u, bits in enumerate(adj):
+        bits >>= u + 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            edges.append((u, u + low.bit_length()))
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "edges", frozenset(edges))
+    object.__setattr__(g, "adjacency_bits", adj)
+    object.__setattr__(g, "_memo", {})
+    return g
 
 
 def is_clique(g: SimpleGraph, s: Iterable[int]) -> bool:

@@ -5,9 +5,12 @@ one validated symmetric int matrix: every distance times ``scale``, the
 least common multiple of the denominators.  Ints order and add exactly
 as the distances do, so :func:`validate_metric` checks every axiom on
 that matrix in int arithmetic, and the threshold table, the enumeration
-scan and the minimal-distance graph compare its entries.  The triangle
-scan meets third points only for the pairs farther apart than twice the
-smallest distance, since no other pair can break the inequality.  A
+scan and the minimal-distance graph compare its entries.  A space built
+from a graph (:func:`two_distance_space_from_graph`) gets its int rows
+straight from the graph's neighbourhood masks, with no ``Fraction``
+matrix, and goes through that same int check.  The triangle scan meets
+third points only for the pairs farther apart than twice the smallest
+distance, since no other pair can break the inequality.  A
 :class:`TwoDistanceSpace` specializes it to spaces whose off-diagonal
 distances take exactly two values ``a < b``; for those the graph of
 minimal distances drives everything downstream.
@@ -327,16 +330,30 @@ def validate_metric(
     :class:`NonPositiveOffDiagonal` or :class:`TriangleViolation`, each
     naming the offending indices.
     """
-    ids = tuple(str(p) for p in points)
+    ids = _point_ids(points)
     n = len(ids)
-    if n < 1:
-        raise ValueError("a metric space needs at least one point")
-    if len(set(ids)) != n:
-        raise ValueError("point ids must be unique")
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"matrix must be {n}x{n} to match the point list")
+    return _checked_space(ids, *_scaled_ints(matrix))
 
-    scale, ints = _scaled_ints(matrix)
+
+def _point_ids(points: Iterable[object]) -> tuple[str, ...]:
+    """The ids of a space's points, as strings: at least one, all distinct."""
+    ids = tuple(str(p) for p in points)
+    if not ids:
+        raise ValueError("a metric space needs at least one point")
+    if len(set(ids)) != len(ids):
+        raise ValueError("point ids must be unique")
+    return ids
+
+
+def _checked_space(
+    ids: tuple[str, ...], scale: int, ints: tuple[tuple[int, ...], ...]
+) -> FiniteMetricSpace:
+    """The space of ``ints``, the distances times ``scale``, once every
+    metric axiom holds on it: the one check of the axioms, for
+    :func:`validate_metric` and :func:`two_distance_space_from_graph`."""
+    n = len(ids)
     for i in range(n):
         if ints[i][i] != 0:
             raise NonZeroDiagonal(i)
@@ -414,12 +431,15 @@ def two_distance_space_from_graph(
 ) -> TwoDistanceSpace:
     """Metric space on the vertices: distance ``a`` iff adjacent, else ``b``.
 
-    The matrix goes through full validation, so a choice of ``a``/``b``
-    that breaks the triangle inequality (``b > 2a`` with a non-cluster
-    graph) is rejected rather than silently accepted.  For ``b <= 2a``
+    The space is built in ints: the scale is the lcm of the denominators
+    of ``a`` and ``b``, and each row reads ``a`` or ``b`` times it off the
+    vertex's neighbourhood mask, with no ``Fraction`` matrix in between.
+    The rows go through the same int check as :func:`validate_metric`, so
+    validation stays full: a choice of ``a``/``b`` that breaks the
+    triangle inequality (``b > 2a`` with a non-cluster graph) is rejected
+    with the same error rather than silently accepted.  For ``b <= 2a``
     no pair can break it, so the check skips every third point and the
-    space costs O(n^2); it keeps the checked int matrix as its one
-    distance representation.  The space's minimal-distance graph is ``g``
+    space costs O(n^2).  The space's minimal-distance graph is ``g``
     itself (its complement when ``a > b``), equal by construction, so
     answers kept on ``g`` serve the space.
     """
@@ -428,16 +448,17 @@ def two_distance_space_from_graph(
     ids = tuple(labels) if labels is not None else tuple(f"v{i}" for i in range(n))
     if len(ids) != n:
         raise ValueError(f"labels must name the {n} vertices, got {len(ids)} labels")
+    ids = _point_ids(ids)
+    scale = math.lcm(a.denominator, b.denominator)
     # Row i spells out i's neighbourhood mask, bit j first: a for a
-    # neighbour, b otherwise.
-    pick = {"1": a, "0": b}.__getitem__
-    zero = Fraction(0)
-    matrix = []
+    # neighbour, b otherwise, both times the scale.
+    pick = {"1": int(a * scale), "0": int(b * scale)}.__getitem__
+    ints = []
     for i, bits in enumerate(g.adjacency_bits):
         row = list(map(pick, f"{bits:0{n}b}"[::-1]))
-        row[i] = zero
-        matrix.append(row)
-    tds = as_two_distance(validate_metric(ids, matrix))
+        row[i] = 0
+        ints.append(tuple(row))
+    tds = as_two_distance(_checked_space(ids, scale, tuple(ints)))
     # Seeds the cached ``graph`` property.
     tds.__dict__["graph"] = g if a < b else complement(g)
     return tds

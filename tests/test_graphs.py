@@ -20,6 +20,7 @@ from ghsimplex import (
     clique_cover_number,
     coloring_is_proper,
     complement,
+    complete_bipartite_graph,
     complete_graph,
     connected_components,
     cover_is_valid,
@@ -101,6 +102,34 @@ class TestComplement:
 
     def test_complement_of_complete_is_edgeless(self):
         assert complement(complete_graph(6)) == empty_graph(6)
+
+    def test_mask_built_complement_matches_the_checked_one(self):
+        """The complement built from masks equals the one the public,
+        checking constructor builds from the missing pairs: edges, masks,
+        equality, hash and copies; and its complement is the graph."""
+        rng = random.Random(29)
+        graphs = [random_graph(rng, n, p) for n in range(13) for p in (0.2, 0.5, 0.8)]
+        graphs += [petersen_graph(), cycle_graph(5), complete_graph(6), empty_graph(4)]
+        graphs += [complete_bipartite_graph(2, 3), _queen_graph(4), _mycielski_graph(4)]
+        # Duplicated and reversed pairs, as a parsed file may hold them.
+        graphs += [
+            SimpleGraph(5, [(1, 0), (0, 1), (3, 2), (2, 3), (4, 0), (0, 4), (4, 0)]),
+            graph_from_edges(4, [[2, 1], (1, 2), (3, 0)]),
+        ]
+        for g in graphs:
+            n = g.n
+            want = SimpleGraph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            )
+            masks = tuple(sum(1 << w for w in range(n) if want.has_edge(v, w)) for v in range(n))
+            h = complement(g)
+            assert type(h.edges) is frozenset and h.edges == want.edges
+            assert h.adjacency_bits == want.adjacency_bits == masks
+            assert h == want and hash(h) == hash(want)
+            for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+                assert copied == want and hash(copied) == hash(want)
+                assert copied.adjacency_bits == masks
+            assert complement(h) is g
 
 
 class TestCliquePredicates:

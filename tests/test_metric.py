@@ -22,12 +22,14 @@ from ghsimplex import (
     clique_cover_number,
     clique_cover_via_gh,
     complement,
+    complete_graph,
     cycle_graph,
     diameter,
     gh_oracle,
     hausdorff_distance,
     is_cluster_graph,
     min_distance_graph,
+    petersen_graph,
     two_distance_space_from_graph,
     validate_metric,
 )
@@ -262,6 +264,105 @@ def _two_valued_matrix(g, a, b):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = a if g.has_edge(i, j) else b
     return rows
+
+
+def _graph_space_outcome(build, g, a, b, labels=None):
+    """What ``build(g, a, b, labels)`` returns, as the fields of the space,
+    or the class, message and attributes of the error it raises."""
+    try:
+        tds = build(g, a, b, labels)
+    except (MetricError, NotTwoDistance, ValueError) as exc:
+        return type(exc), str(exc), vars(exc)
+    space = tds.base
+    return space.points, space.scale, space.ints, space.steps, tds.a, tds.b
+
+
+def _reference_graph_space(g, a, b, labels=None):
+    """The graph space through ``validate_metric`` on a ``Fraction`` matrix."""
+    a, b, n = F(a), F(b), g.n
+    ids = labels if labels is not None else [f"v{i}" for i in range(n)]
+    matrix = [[F(0) if i == j else a if g.has_edge(i, j) else b for j in range(n)] for i in range(n)]
+    return as_two_distance(validate_metric(ids, matrix))
+
+
+class TestGraphSpaceMatchesReference:
+    """The graph space built in ints from the masks against the space
+    ``validate_metric`` builds from the ``Fraction`` matrix: the same
+    fields on accepted parameters, the same error on rejected ones."""
+
+    # Denominators 1, 2, 3, 7 and 1000, b = 2a, and a > b.
+    PAIRS = [
+        (1, 2),
+        (F(1), F(3, 2)),
+        (F(2, 3), F(1)),
+        (F(1, 3), F(1, 2)),
+        (F(3, 7), F(5, 7)),
+        (F(2, 7), F(1, 3)),
+        (F(999, 1000), F(3, 2)),
+        (F(1, 1000), F(1, 500)),
+        (F(3, 2), F(1)),
+        (F(5, 7), F(2, 3)),
+        (F(1001, 1000), F(1)),
+    ]
+
+    def _assert_same(self, g, a, b, labels=None):
+        got = _graph_space_outcome(two_distance_space_from_graph, g, a, b, labels)
+        assert got == _graph_space_outcome(_reference_graph_space, g, a, b, labels)
+        return got
+
+    def test_accepted_spaces_field_for_field(self):
+        rng = random.Random(211)
+        for n in range(3, 13):
+            for _ in range(3):
+                g = random_usable_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+                labels = [f"q{i}" for i in range(n)] if rng.random() < 0.5 else None
+                for a, b in self.PAIRS:
+                    got = self._assert_same(g, a, b, labels)
+                    assert type(got[0]) is tuple and all(type(d) is int for d in got[3])
+        for g in (cycle_graph(5), petersen_graph(), complement(petersen_graph())):
+            for a, b in self.PAIRS:
+                self._assert_same(g, a, b)
+
+    def test_rejections_alike(self):
+        rng = random.Random(223)
+        kinds = set()
+        wide = [(1, 3), (F(1, 7), F(3, 7)), (F(2, 3), F(1999, 1000))]
+        for n in range(3, 11):
+            for _ in range(4):
+                g = random_usable_graph(rng, n)
+                pairs = [(0, 1), (F(-1, 2), 1), (1, 0), (F(1, 3), F(-2, 7))]
+                if not is_cluster_graph(g):
+                    pairs += wide
+                for a, b in pairs:
+                    kinds.add(self._assert_same(g, a, b)[0])
+                duplicate = [f"q{i}" for i in range(n - 1)] + ["q0"]
+                kinds.add(self._assert_same(g, 1, F(3, 2), duplicate)[0])
+        for g in (SimpleGraph(0), SimpleGraph(1), SimpleGraph(2), complete_graph(4), SimpleGraph(4)):
+            for labels in (None, [f"q{i}" for i in range(g.n)]):
+                kinds.add(self._assert_same(g, 1, F(3, 2), labels)[0])
+        kinds.add(self._assert_same(cycle_graph(5), F(3, 2), F(3, 2))[0])
+        assert kinds == {NonPositiveOffDiagonal, TriangleViolation, ValueError, NotTwoDistance}
+
+
+def test_graph_routes_skip_the_fraction_pass(monkeypatch):
+    """A graph space is built in ints from the graph's masks: with the
+    scaling pass over a ``Fraction`` matrix made to raise, both
+    ``*_via_gh`` routes still answer on G(40, 1/2), and
+    ``validate_metric`` still takes that pass."""
+    import ghsimplex.metric as metric
+
+    def refusing(matrix):
+        raise AssertionError("a matrix went through _scaled_ints")
+
+    g = random_graph(random.Random(227), 40, 0.5)
+    chi, theta = chromatic_number(g)[0], clique_cover_number(g)[0]
+    monkeypatch.setattr(metric, "_scaled_ints", refusing)
+    tds = two_distance_space_from_graph(g, 1, F(3, 2))
+    assert tds.graph is g and tds.base.scale == 2
+    assert chromatic_via_gh(g, 1, F(3, 2)) == chi
+    assert clique_cover_via_gh(g, 1, F(3, 2)) == theta
+    with pytest.raises(AssertionError, match="went through _scaled_ints"):
+        validate_metric(["p", "q"], [[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
