@@ -5,6 +5,10 @@ violation (the closed form and the partition oracle disagreed, which
 would falsify an invariant the library promises), 4 internal error (any
 other failure, such as a RecursionError; reported as JSON like the rest,
 never as a traceback).
+
+Each subparser binds its handler, which returns the inputs echoed, the
+result and the case tag.  ``run_command`` builds the report for every
+exit code and writes it from one place.
 """
 
 from __future__ import annotations
@@ -24,8 +28,14 @@ from .closed_form import (
     gh_two_distance,
 )
 from .errors import GHError, NotTwoDistance
-from .formats import parse_graph, parse_space, serialize_space, sniff_graph_format
-from .graphs import SimpleGraph, chromatic_number, clique_cover_number
+from .formats import (
+    _graph_document,
+    _space_document,
+    parse_graph,
+    parse_space,
+    sniff_graph_format,
+)
+from .graphs import chromatic_number, clique_cover_number
 from .metric import FiniteMetricSpace, as_two_distance, diameter
 from .partitions import gh_oracle, gh_oracle_curve
 from .rationals import format_rational, parse_rational
@@ -52,22 +62,26 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="validate a metric-space JSON file")
     p.add_argument("space", help="path to a metric-space JSON document")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("ghdist", help="2*d_GH between a simplex and a space")
     p.add_argument("--space", required=True)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--method", choices=["closed", "oracle", "both"], default="closed")
+    p.set_defaults(run=_cmd_ghdist)
 
     p = sub.add_parser(
         "ghcurve", help="piecewise-linear lambda sweep (the oracle's, case null, if not two-distance)"
     )
     p.add_argument("--space", required=True)
     p.add_argument("--m", required=True, type=int)
+    p.set_defaults(run=_cmd_ghcurve)
 
     p = sub.add_parser("borsuk", help="partition into m parts of smaller diameter?")
     p.add_argument("--space", required=True)
     p.add_argument("--m", required=True, type=int)
+    p.set_defaults(run=_cmd_borsuk)
 
     for name, help_text in (
         ("theta", "clique covering number"),
@@ -79,39 +93,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--a", default=None)
         p.add_argument("--b", default=None)
         p.add_argument("--format", choices=["auto", "json", "dimacs"], default="auto")
+        p.set_defaults(run=_cmd_graph_number)
 
     p = sub.add_parser("oracle-check", help="closed form vs threshold oracle for m = 1..max-m")
     p.add_argument("--space", required=True)
     p.add_argument("--max-m", dest="max_m", required=True, type=int)
     p.add_argument("--lambdas", required=True, help="comma-separated rationals")
+    p.set_defaults(run=_cmd_oracle_check)
     return parser
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _load_space(path: str) -> FiniteMetricSpace:
-    return parse_space(_read(path))
-
-
-def _load_graph(path: str, fmt: str) -> SimpleGraph:
-    document = _read(path)
-    if fmt == "auto":
-        fmt = sniff_graph_format(path, document)
-    return parse_graph(document, fmt)
-
-
-def _space_echo(space: FiniteMetricSpace) -> dict:
-    return json.loads(serialize_space(space))
-
-
-def _graph_echo(g: SimpleGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-
-
-def _witness_ids(space: FiniteMetricSpace, blocks) -> list[list[str]]:
-    return [[space.points[i] for i in block] for block in blocks]
+    return parse_space(Path(path).read_bytes())
 
 
 def _cmd_validate(args) -> tuple[dict, dict, Optional[str]]:
@@ -129,14 +122,14 @@ def _cmd_validate(args) -> tuple[dict, dict, Optional[str]]:
         }
     except GHError:
         result["two_distance"] = None
-    return {"space": _space_echo(space)}, result, None
+    return {"space": _space_document(space)}, result, None
 
 
 def _cmd_ghdist(args) -> tuple[dict, dict, Optional[str]]:
     space = _load_space(args.space)
     lam = parse_rational(args.lam, "--lambda")
     inputs = {
-        "space": _space_echo(space),
+        "space": _space_document(space),
         "m": args.m,
         "lambda": format_rational(lam),
         "method": args.method,
@@ -175,24 +168,24 @@ def _cmd_ghcurve(args) -> tuple[dict, dict, Optional[str]]:
         }
         for seg in curve.segments
     ]
-    inputs = {"space": _space_echo(space), "m": args.m}
+    inputs = {"space": _space_document(space), "m": args.m}
     return inputs, {"segments": segments}, curve.case.tag.value if curve.case else None
 
 
 def _cmd_borsuk(args) -> tuple[dict, dict, Optional[str]]:
     space = _load_space(args.space)
     feasible, witness = borsuk_feasible(space, args.m)
-    result = {
-        "m": args.m,
-        "feasible": feasible,
-        "witness": _witness_ids(space, witness.blocks) if witness else None,
-    }
-    return {"space": _space_echo(space), "m": args.m}, result, None
+    ids = [[space.points[i] for i in block] for block in witness.blocks] if witness else None
+    result = {"m": args.m, "feasible": feasible, "witness": ids}
+    return {"space": _space_document(space), "m": args.m}, result, None
 
 
-def _cmd_graph_number(args, which: str) -> tuple[dict, dict, Optional[str]]:
-    g = _load_graph(args.graph, args.format)
-    inputs: dict = {"graph": _graph_echo(g), "via": args.via}
+def _cmd_graph_number(args) -> tuple[dict, dict, Optional[str]]:
+    which = args.command
+    document = Path(args.graph).read_bytes()
+    fmt = sniff_graph_format(args.graph, document) if args.format == "auto" else args.format
+    g = parse_graph(document, fmt)
+    inputs: dict = {"graph": _graph_document(g), "via": args.via}
     if args.via == "gh":
         if args.a is None or args.b is None:
             raise _UsageError(f"{which} --via gh requires --a and --b")
@@ -218,7 +211,7 @@ def _cmd_oracle_check(args) -> tuple[dict, dict, Optional[str]]:
     if args.max_m < 1:
         raise _UsageError("--max-m must be at least 1")
     inputs = {
-        "space": _space_echo(space),
+        "space": _space_document(space),
         "max_m": args.max_m,
         "lambdas": [format_rational(lam) for lam in lambdas],
     }
@@ -245,73 +238,41 @@ def _cmd_oracle_check(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def run_command(argv: list[str]) -> int:
-    """Execute one subcommand; print the RunReport JSON; return the exit code."""
+    """Execute one subcommand; print its run report as JSON; return the exit code.
+
+    Every report starts with the command.  A failure adds the error's
+    type and message; a run that reached its result (exit 0, or exit 3
+    with the disagreeing result) adds that and ends with ``timing_ms``.
+    """
     started = time.perf_counter()
     command = argv[0] if argv else None
+    error: Optional[tuple[str, str]] = None
+    body: dict = {}
     try:
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # --help lands here
             return int(exc.code or 0)
         command = args.command
-        if command == "validate":
-            inputs, result, case = _cmd_validate(args)
-        elif command == "ghdist":
-            inputs, result, case = _cmd_ghdist(args)
-        elif command == "ghcurve":
-            inputs, result, case = _cmd_ghcurve(args)
-        elif command == "borsuk":
-            inputs, result, case = _cmd_borsuk(args)
-        elif command in ("theta", "chroma"):
-            inputs, result, case = _cmd_graph_number(args, command)
-        else:
-            inputs, result, case = _cmd_oracle_check(args)
+        inputs, result, case = args.run(args)
+        code, body = 0, {"inputs": inputs, "result": result, "case": case}
     except _UsageError as exc:
-        _emit({"command": command, "error": {"type": "usage", "message": str(exc)}})
-        return 1
+        code, error = 1, ("usage", str(exc))
     except _PropertyViolation as exc:
-        report = {
-            "command": command,
-            "error": {"type": "PropertyViolation", "message": str(exc)},
-            **exc.detail,
-            "timing_ms": _elapsed_ms(started),
-        }
-        _emit(report)
-        return 3
+        code, error, body = 3, ("PropertyViolation", str(exc)), exc.detail
     except (GHError, OSError, ValueError) as exc:
-        _emit(
-            {
-                "command": command,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        )
-        return 2
+        code, error = 2, (type(exc).__name__, str(exc))
     except Exception as exc:  # the boundary: every failure becomes a report
-        _emit(
-            {
-                "command": command,
-                "error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"},
-            }
-        )
-        return 4
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "case": case,
-        "timing_ms": _elapsed_ms(started),
-    }
-    _emit(report)
-    return 0
-
-
-def _elapsed_ms(started: float) -> float:
-    return round((time.perf_counter() - started) * 1000, 3)
-
-
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+        code, error = 4, ("internal", f"{type(exc).__name__}: {exc}")
+    report: dict = {"command": command}
+    if error is not None:
+        report["error"] = {"type": error[0], "message": error[1]}
+    report.update(body)
+    if body:
+        report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    return code
 
 
 def main() -> None:

@@ -50,7 +50,7 @@ from .metric import (
     two_distance_space_from_graph,
 )
 from .partitions import Partition, partition_from_blocks
-from .rationals import INF, check_m, exact
+from .rationals import INF, check_int, check_m, exact
 
 
 class GHCaseTag(enum.Enum):
@@ -88,6 +88,8 @@ def classify_case_from_params(m: int, n: int, k: int, theta: int) -> GHCaseTag:
     Checked in a fixed order (m = 1 first, then the outer regimes), so
     exactly one tag applies to every admissible combination.
     """
+    for value, what in ((n, "n"), (k, "k"), (theta, "theta")):
+        check_int(value, what)
     if not (1 <= k <= theta <= n - 1):
         raise ValueError(f"need 1 <= k <= theta <= n-1, got k={k}, theta={theta}, n={n}")
     check_m(m, None)

@@ -1,7 +1,10 @@
 """File formats: metric-space JSON, graph JSON and DIMACS ``.col``.
 
 Rationals travel as strings ("3/2", "1"), never as JSON floats, so a
-parse/serialize round trip reproduces every value exactly.
+parse/serialize round trip reproduces every value exactly.  Each JSON
+document is built as a dict in one place (``_space_document``,
+``_graph_document``); the serializers dump that dict, and the CLI echoes
+it in its reports.
 """
 
 from __future__ import annotations
@@ -48,12 +51,16 @@ def parse_space(document: Union[bytes, str]) -> FiniteMetricSpace:
     return validate_metric(points, parsed)
 
 
-def serialize_space(space: FiniteMetricSpace) -> str:
-    payload = {
+def _space_document(space: FiniteMetricSpace) -> dict:
+    """The metric-space JSON document of ``space``, as a dict."""
+    return {
         "points": list(space.points),
         "matrix": [[format_rational(v) for v in row] for row in space.dist],
     }
-    return json.dumps(payload, indent=2)
+
+
+def serialize_space(space: FiniteMetricSpace) -> str:
+    return json.dumps(_space_document(space), indent=2)
 
 
 def _parse_graph_json(document: Union[bytes, str]) -> SimpleGraph:
@@ -128,11 +135,16 @@ def parse_graph(document: Union[bytes, str], format: str = "json") -> SimpleGrap
     raise ValueError(f"unknown graph format {format!r}")
 
 
+def _graph_document(g: SimpleGraph) -> dict:
+    """The graph JSON document of ``g``, edges sorted, as a dict."""
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+
+
 def serialize_graph(g: SimpleGraph, format: str = "json") -> str:
-    edges = sorted(g.edges)
     if format == "json":
-        return json.dumps({"n": g.n, "edges": [list(e) for e in edges]}, indent=2)
+        return json.dumps(_graph_document(g), indent=2)
     if format == "dimacs":
+        edges = sorted(g.edges)
         lines = [f"p edge {g.n} {len(edges)}"]
         lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
         return "\n".join(lines) + "\n"

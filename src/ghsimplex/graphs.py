@@ -297,13 +297,6 @@ def _first_fit(adj: list[int]) -> list[int]:
     return colors
 
 
-def _dsatur_greedy(adj: tuple[int, ...]) -> list[int]:
-    """Greedy DSATUR coloring; an upper bound and the initial incumbent.
-    (:func:`_color` runs :func:`_first_fit` on the numbering it keeps.)"""
-    place, placed = _dsatur_order(adj)
-    return list(map(_first_fit(placed).__getitem__, place))
-
-
 def _greedy_clique(adj: Sequence[int]) -> list[int]:
     """A maximal clique grown first-fit by descending degree, ties toward
     the lowest index; its members in ascending order.  It is the lower
@@ -540,6 +533,9 @@ def clique_cover_number(
     complement and its coloring are kept, so a second call does not
     search again.
     """
+    _check_budget(node_limit)
+    if g.n < 1:
+        raise ValueError("clique cover needs at least one vertex")
     theta, coloring = chromatic_number(complement(g), node_limit=node_limit)
     cover = CliqueCover(_blocks_from_assignment(coloring))
     return theta, cover

@@ -80,7 +80,7 @@ class Partition(NamedTuple):
 def partition_from_blocks(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     """Canonicalize and validate a partition of ``range(n)``."""
     norm = tuple(map(tuple, blocks))
-    _check_partition(norm, n)
+    _check_partition(norm, check_int(n, "n"))
     return Partition(tuple(sorted(map(tuple, map(sorted, norm)), key=lambda b: b[0])))
 
 

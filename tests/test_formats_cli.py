@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -300,6 +301,334 @@ class TestCLI:
             )
             assert code == 0
             assert report["result"]["value"] == report["result"]["oracle_value"]
+
+
+
+# The complete report of every subcommand and of every exit code, as
+# the CLI prints it (indent 2, then a newline), with timing_ms removed.
+# Comparing json.dumps texts pins the key order too.
+E1_ECHO = {
+    "points": ["x1", "x2", "x3", "x4"],
+    "matrix": [
+        ["0", "1", "2", "2"],
+        ["1", "0", "2", "2"],
+        ["2", "2", "0", "1"],
+        ["2", "2", "1", "0"],
+    ],
+}
+LINE_ECHO = {
+    "points": ["p", "q", "r"],
+    "matrix": [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]],
+}
+C5_ECHO = {"n": 5, "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}
+COMMANDS = ("validate", "ghdist", "ghcurve", "borsuk", "theta", "chroma", "oracle-check")
+
+
+def _golden_files(directory: Path) -> None:
+    def space(name, points, rows):
+        (directory / name).write_text(json.dumps({"points": points, "matrix": rows}))
+
+    space("e1.json", E1_POINTS, [[str(v) for v in row] for row in E1_MATRIX])
+    space("line.json", LINE_ECHO["points"], LINE_ECHO["matrix"])
+    c5 = two_distance_space_from_graph(cycle_graph(5), F(1), F(3, 2)).base
+    (directory / "e2.json").write_text(serialize_space(c5))
+    space("bad.json", ["p", "q"], [["0", "1"], ["2", "0"]])
+    (directory / "c5.col").write_text(DIMACS_C5)
+    (directory / "c5.json").write_text(json.dumps(C5_ECHO))
+    (directory / "loop.col").write_text("p edge 2 1\ne 1 1\n")
+
+
+def _argparse_message(argv: list[str]) -> str:
+    """What argparse itself says; its wording differs between Python versions."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Parser()
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        sub.add_parser(name)
+    with pytest.raises(ValueError) as err:
+        parser.parse_args(argv)
+    return str(err.value)
+
+
+def _wrong_oracle(*args, **kwargs):
+    return F(999)
+
+
+def _broken_oracle(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def _ok(command, inputs, result, case=None):
+    return {"command": command, "inputs": inputs, "result": result, "case": case}
+
+
+def _error(command, kind, message):
+    return {"command": command, "error": {"type": kind, "message": message}}
+
+
+GOLDEN = {
+    "validate_two_distance": (
+        ["validate", "e1.json"],
+        None,
+        0,
+        _ok(
+            "validate",
+            {"space": E1_ECHO},
+            {"valid": True, "n": 4, "diameter": "2", "two_distance": {"a": "1", "b": "2"}},
+        ),
+    ),
+    "validate_general": (
+        ["validate", "line.json"],
+        None,
+        0,
+        _ok(
+            "validate",
+            {"space": LINE_ECHO},
+            {"valid": True, "n": 3, "diameter": "3", "two_distance": None},
+        ),
+    ),
+    "ghdist_closed": (
+        ["ghdist", "--space", "e1.json", "--m", "3", "--lambda", "2"],
+        None,
+        0,
+        _ok(
+            "ghdist",
+            {"space": E1_ECHO, "m": 3, "lambda": "2", "method": "closed"},
+            {"method": "closed", "value": "1"},
+            "K_EQ_THETA_LT_M_LT_N",
+        ),
+    ),
+    "ghdist_oracle": (
+        ["ghdist", "--space", "e1.json", "--m", "4", "--lambda", "5/2", "--method", "oracle"],
+        None,
+        0,
+        _ok(
+            "ghdist",
+            {"space": E1_ECHO, "m": 4, "lambda": "5/2", "method": "oracle"},
+            {"method": "oracle", "value": "3/2"},
+        ),
+    ),
+    "ghdist_both": (
+        ["ghdist", "--space", "e1.json", "--m", "2", "--lambda", "1", "--method", "both"],
+        None,
+        0,
+        _ok(
+            "ghdist",
+            {"space": E1_ECHO, "m": 2, "lambda": "1", "method": "both"},
+            {"method": "both", "value": "1", "oracle_value": "1"},
+            "M_EQ_K_EQ_THETA",
+        ),
+    ),
+    "ghcurve_two_distance": (
+        ["ghcurve", "--space", "e1.json", "--m", "2"],
+        None,
+        0,
+        _ok(
+            "ghcurve",
+            {"space": E1_ECHO, "m": 2},
+            {
+                "segments": [
+                    {"lo": "0", "hi": "1", "slope": -1, "intercept": "2"},
+                    {"lo": "1", "hi": "3", "slope": 0, "intercept": "1"},
+                    {"lo": "3", "hi": "inf", "slope": 1, "intercept": "-2"},
+                ]
+            },
+            "M_EQ_K_EQ_THETA",
+        ),
+    ),
+    "ghcurve_general": (
+        ["ghcurve", "--space", "line.json", "--m", "2"],
+        None,
+        0,
+        _ok(
+            "ghcurve",
+            {"space": LINE_ECHO, "m": 2},
+            {
+                "segments": [
+                    {"lo": "0", "hi": "2", "slope": -1, "intercept": "3"},
+                    {"lo": "2", "hi": "3", "slope": 0, "intercept": "1"},
+                    {"lo": "3", "hi": "inf", "slope": 1, "intercept": "-2"},
+                ]
+            },
+        ),
+    ),
+    "borsuk_feasible": (
+        ["borsuk", "--space", "e1.json", "--m", "2"],
+        None,
+        0,
+        _ok(
+            "borsuk",
+            {"space": E1_ECHO, "m": 2},
+            {"m": 2, "feasible": True, "witness": [["x1", "x2"], ["x3", "x4"]]},
+        ),
+    ),
+    "borsuk_infeasible": (
+        ["borsuk", "--space", "e2.json", "--m", "2"],
+        None,
+        0,
+        _ok(
+            "borsuk",
+            {
+                "space": {
+                    "points": ["v0", "v1", "v2", "v3", "v4"],
+                    "matrix": [
+                        ["0", "1", "3/2", "3/2", "1"],
+                        ["1", "0", "1", "3/2", "3/2"],
+                        ["3/2", "1", "0", "1", "3/2"],
+                        ["3/2", "3/2", "1", "0", "1"],
+                        ["1", "3/2", "3/2", "1", "0"],
+                    ],
+                },
+                "m": 2,
+            },
+            {"m": 2, "feasible": False, "witness": None},
+        ),
+    ),
+    "theta_direct": (
+        ["theta", "--graph", "c5.col"],
+        None,
+        0,
+        _ok(
+            "theta",
+            {"graph": C5_ECHO, "via": "direct"},
+            {"value": 3, "witness": [[0, 1], [2, 3], [4]]},
+        ),
+    ),
+    "theta_via_gh": (
+        ["theta", "--graph", "c5.col", "--via", "gh", "--a", "1", "--b", "3/2"],
+        None,
+        0,
+        _ok("theta", {"graph": C5_ECHO, "via": "gh", "a": "1", "b": "3/2"}, {"value": 3}),
+    ),
+    "chroma_direct": (
+        ["chroma", "--graph", "c5.json"],
+        None,
+        0,
+        _ok(
+            "chroma",
+            {"graph": C5_ECHO, "via": "direct"},
+            {"value": 3, "witness": [0, 1, 0, 1, 2]},
+        ),
+    ),
+    "chroma_via_gh": (
+        ["chroma", "--graph", "c5.json", "--format", "json", "--via", "gh", "--a", "1", "--b", "3/2"],
+        None,
+        0,
+        _ok("chroma", {"graph": C5_ECHO, "via": "gh", "a": "1", "b": "3/2"}, {"value": 3}),
+    ),
+    "oracle_check": (
+        ["oracle-check", "--space", "e1.json", "--max-m", "3", "--lambdas", "1/2,1,3"],
+        None,
+        0,
+        _ok(
+            "oracle-check",
+            {"space": E1_ECHO, "max_m": 3, "lambdas": ["1/2", "1", "3"]},
+            {"checked": 9, "mismatches": []},
+        ),
+    ),
+    "unknown_command": (["nonsense"], None, 1, _error("nonsense", "usage", None)),
+    "missing_option": (
+        ["ghdist", "--m", "2"],
+        None,
+        1,
+        _error("ghdist", "usage", "the following arguments are required: --space, --lambda"),
+    ),
+    "via_gh_without_a": (
+        ["chroma", "--graph", "c5.col", "--via", "gh", "--b", "2"],
+        None,
+        1,
+        _error("chroma", "usage", "chroma --via gh requires --a and --b"),
+    ),
+    "max_m_zero": (
+        ["oracle-check", "--space", "e1.json", "--max-m", "0", "--lambdas", "1"],
+        None,
+        1,
+        _error("oracle-check", "usage", "--max-m must be at least 1"),
+    ),
+    "missing_file": (
+        ["validate", "missing.json"],
+        None,
+        2,
+        _error(
+            "validate",
+            "FileNotFoundError",
+            "[Errno 2] No such file or directory: 'missing.json'",
+        ),
+    ),
+    "asymmetric": (
+        ["validate", "bad.json"],
+        None,
+        2,
+        _error("validate", "Asymmetric", "dist[0][1] != dist[1][0]"),
+    ),
+    "self_loop": (
+        ["chroma", "--graph", "loop.col"],
+        None,
+        2,
+        _error("chroma", "SelfLoop", "self-loop at vertex 1"),
+    ),
+    "ghdist_mismatch": (
+        ["ghdist", "--space", "e1.json", "--m", "2", "--lambda", "1", "--method", "both"],
+        _wrong_oracle,
+        3,
+        {
+            **_error("ghdist", "PropertyViolation", "closed form and oracle disagree"),
+            "result": {"method": "both", "value": "1", "oracle_value": "999"},
+            "case": "M_EQ_K_EQ_THETA",
+        },
+    ),
+    "oracle_check_mismatch": (
+        ["oracle-check", "--space", "e1.json", "--max-m", "1", "--lambdas", "1"],
+        _wrong_oracle,
+        3,
+        {
+            **_error("oracle-check", "PropertyViolation", "closed form and oracle disagree"),
+            "result": {
+                "checked": 1,
+                "mismatches": [{"m": 1, "lambda": "1", "closed": "2", "oracle": "999"}],
+            },
+        },
+    ),
+    "internal": (
+        ["ghdist", "--space", "e1.json", "--m", "2", "--lambda", "1", "--method", "oracle"],
+        _broken_oracle,
+        4,
+        _error("ghdist", "internal", "RuntimeError: boom"),
+    ),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_report(self, capsys, tmp_path, monkeypatch, name):
+        argv, oracle, want_code, want = GOLDEN[name]
+        _golden_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if oracle is not None:
+            monkeypatch.setattr("ghsimplex.cli.gh_oracle", oracle)
+        code = run_command(argv)
+        out = capsys.readouterr().out
+        assert code == want_code
+        # One JSON document, indented by 2, then a newline.
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        report = json.loads(out)
+        # Only a report that ran a command to its end is timed, last.
+        if want_code in (0, 3):
+            assert list(report)[-1] == "timing_ms"
+            assert isinstance(report.pop("timing_ms"), float)
+        assert "timing_ms" not in report
+        if name == "unknown_command":
+            want = _error("nonsense", "usage", _argparse_message(argv))
+        assert json.dumps(report) == json.dumps(want)
+
+    def test_every_subcommand_and_exit_code_is_pinned(self):
+        covered = {(argv[0], code) for argv, _, code, _ in GOLDEN.values()}
+        assert {command for command, code in covered if code == 0} == set(COMMANDS)
+        assert {code for _, code in covered} == {0, 1, 2, 3, 4}
 
 
 def test_cli_import_does_not_load_the_process_pool():

@@ -436,9 +436,10 @@ class TestSameSearchTree:
 
     @pytest.mark.parametrize("g", _same_tree_graphs(), ids=lambda g: f"n{g.n}e{g.edge_count}")
     def test_matches_reference(self, g):
-        from ghsimplex.graphs import _dsatur_greedy, _greedy_clique
+        from ghsimplex.graphs import _dsatur_order, _first_fit, _greedy_clique
 
-        assert _dsatur_greedy(g.adjacency_bits) == _reference_dsatur_greedy(g)
+        place, placed = _dsatur_order(g.adjacency_bits)
+        assert list(map(_first_fit(placed).__getitem__, place)) == _reference_dsatur_greedy(g)
         assert _greedy_clique(g.adjacency_bits) == _reference_greedy_clique(g)
         assert chromatic_number(g) == _reference_chromatic(g)
         for limit in (1, 2, 5, 17):
@@ -566,6 +567,13 @@ class TestCliqueCover:
             theta, cover = solver(g)
             assert theta == 5
             assert cover_is_valid(g, cover)
+
+    def test_empty_graph_names_the_cover(self):
+        """Both theta routes raise the same error on no vertices; the
+        complement route does not report the chromatic number's."""
+        for solver in (clique_cover_number, clique_cover_direct):
+            with pytest.raises(ValueError, match="^clique cover needs at least one vertex$"):
+                solver(SimpleGraph(0))
 
     def test_two_solvers_agree_exhaustively_small(self):
         for n in (1, 2, 3, 4):

@@ -22,6 +22,7 @@ from ghsimplex import (
     ad_set_parallel,
     borsuk_feasible,
     chromatic_number,
+    classify_case_from_params,
     clique_cover_direct,
     clique_cover_number,
     complete_bipartite_graph,
@@ -389,6 +390,10 @@ class TestScanSplit:
             (lambda sp: hausdorff_distance(sp, [0], [True]), "point index must be an int"),
             (lambda sp: partition_from_blocks([[0, 1.0]], 2), "partition member must be an int"),
             (lambda sp: partition_from_blocks([[0, True]], 2), "partition member must be an int"),
+            (lambda sp: partition_from_blocks([[0]], True), "n must be an int"),
+            (lambda sp: classify_case_from_params(2, 5, True, 3), "k must be an int"),
+            (lambda sp: classify_case_from_params(6, 5.0, 1, 3), "n must be an int"),
+            (lambda sp: classify_case_from_params(6, 5, 1, 3.5), "theta must be an int"),
             (lambda sp: cycle_graph(5.0), "n must be an int"),
             (lambda sp: complete_graph(2.5), "n must be an int"),
             (lambda sp: complete_bipartite_graph(True, 2), "p must be an int"),
@@ -421,6 +426,10 @@ class TestScanSplit:
             "hausdorff_index_bool",
             "partition_member_float",
             "partition_member_bool",
+            "partition_n_bool",
+            "case_k_bool",
+            "case_n_float",
+            "case_theta_float",
             "cycle_n_float",
             "complete_n_float",
             "bipartite_p_bool",
