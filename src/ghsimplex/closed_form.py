@@ -158,15 +158,17 @@ def gh_two_distance(
 
 
 def gh_curve(tds: TwoDistanceSpace, m: int) -> PiecewiseLinearCurve:
-    """Exact lambda sweep of the case formula as a piecewise-linear curve,
-    built on the first query for each m and kept on the space: the curve
-    of the case's one extreme pair."""
+    """Exact lambda sweep of the case formula as a piecewise-linear curve:
+    the curve of the case's one extreme pair.  The space keeps the curves
+    for m <= n + 1; a larger m is case M_GT_N and its curve carries that m."""
     # Checked before the lookup: True and 2.0 hash as the ints 1 and 2.
     check_m(m, None)
     got = tds.cases.get(m)
     if got is None:
         case = classify_case(tds, m)
-        got = tds.cases[m] = curve_from_pairs(tds.b, (_case_pair(case.tag, tds.a, tds.b),), case)
+        got = curve_from_pairs(tds.b, (_case_pair(case.tag, tds.a, tds.b),), case)
+        if m <= tds.n + 1:
+            tds.cases[m] = got
     return got
 
 
@@ -209,7 +211,14 @@ def borsuk_feasible(
     return True, _split_to_m_blocks(cover.blocks, m, n)
 
 
-def _checked_graph_params(g: SimpleGraph, a: Fraction, b: Fraction) -> None:
+def clique_cover_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
+    """Clique covering number recovered from distances to simplexes.
+
+    Builds the space on the vertices with distance ``a`` exactly between
+    adjacent pairs, then finds the greatest m with
+    2 d_GH(a simplex_m, V) = b; the answer is that m plus one.
+    """
+    a, b = exact(a, "a"), exact(b, "b")
     if not (0 < a < b):
         raise BadParameters(f"need 0 < a < b, got a={a}, b={b}")
     if b > 2 * a:
@@ -219,39 +228,22 @@ def _checked_graph_params(g: SimpleGraph, a: Fraction, b: Fraction) -> None:
             "complete or edgeless graphs collapse to a one-distance space; "
             "use the direct solvers instead"
         )
-
-
-def _sweep_first_drop(tds: TwoDistanceSpace, lam: Fraction, b: Fraction) -> int:
-    """Smallest m whose distance value falls below b.  The value is b at
-    m = 1, below b at m = n (case M_EQ_N) and non-increasing in m, so a
-    bisection over [1, n] finds the drop from O(log n) curves."""
+    tds = two_distance_space_from_graph(g, a, b)
+    # The smallest m whose value falls below b, by bisection over [1, n]
+    # from O(log n) curves: the value is b at m = 1, below b at m = n
+    # (case M_EQ_N) and non-increasing in m.
     lo, hi = 1, tds.n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if gh_two_distance(tds, mid, lam).value == b:
+        if gh_two_distance(tds, mid, a).value == b:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def clique_cover_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
-    """Clique covering number recovered from distances to simplexes.
-
-    Builds the space on the vertices with distance ``a`` exactly between
-    adjacent pairs, then finds the greatest m with
-    2 d_GH(a simplex_m, V) = b; the answer is that m plus one.
-    """
-    a, b = exact(a, "a"), exact(b, "b")
-    _checked_graph_params(g, a, b)
-    tds = two_distance_space_from_graph(g, a, b)
-    return _sweep_first_drop(tds, a, b)
-
-
 def chromatic_via_gh(g: SimpleGraph, a: Fraction, b: Fraction) -> int:
-    """Chromatic number recovered the same way, with distance ``b`` between
-    adjacent pairs (the minimal-distance graph becomes the complement)."""
-    a, b = exact(a, "a"), exact(b, "b")
-    _checked_graph_params(g, a, b)
-    tds = two_distance_space_from_graph(complement(g), a, b)
-    return _sweep_first_drop(tds, a, b)
+    """Chromatic number recovered the same way, as theta of the complement;
+    the parameter check is symmetric (complete and edgeless swap), so it
+    raises as it would on ``g``."""
+    return clique_cover_via_gh(complement(g), a, b)

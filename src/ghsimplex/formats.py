@@ -104,6 +104,8 @@ def _parse_graph_dimacs(document: Union[bytes, str]) -> SimpleGraph:
                 n = int(fields[2])
             except ValueError:
                 raise ParseError("vertex count must be an integer", f"line {lineno}") from None
+            if n < 0:
+                raise ParseError("vertex count must be non-negative", f"line {lineno}")
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", f"line {lineno}")

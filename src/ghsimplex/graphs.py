@@ -29,10 +29,11 @@ point of the pairs closer than a bound for a threshold-table level.
 Solvers are exact and deterministic (ties always break toward the lowest
 vertex index); they are sized for desk-scale instances, roughly n <= 40.
 
-A graph's neighborhood masks are filled in the one walk that checks
-and normalizes its edges.  :func:`complement` builds the complement
-from them, each mask flipped, and reads its edges off the new masks, so
-no edge is checked twice or walked again.
+A graph is its neighborhood masks.  Every graph, whether checked from
+its edges, flipped mask by mask into a complement or read off a
+space's distances, is made by the one funnel that sets them
+(:func:`_graph_from_masks`).  ``edges`` is a view of the masks, built
+on first read: no search, route or count builds it.
 
 A graph keeps its exact answers: :func:`complement` builds the
 complement once and keeps it, and an unbudgeted :func:`chromatic_number`
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -56,36 +58,33 @@ from .errors import EmptySubset, NodeLimitExceeded, SelfLoop, VertexOutOfRange
 from .rationals import check_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimpleGraph:
-    """Undirected simple graph on vertices ``0..n-1``.
+    """Undirected simple graph on vertices ``0..n-1``: its neighborhood masks.
 
-    ``edges`` may be given as any iterable of vertex pairs; it is
-    normalized to a frozenset of ``(u, v)`` tuples with ``u < v``.  An
-    edge that is not a pair raises ``ValueError``, an endpoint that is
-    not an int ``TypeError``, then a loop :class:`SelfLoop` and an
-    endpoint outside ``0..n-1`` :class:`VertexOutOfRange`.
+    ``SimpleGraph(n, edges)`` takes any iterable of vertex pairs.  An edge
+    that is not a pair raises ``ValueError``, an endpoint that is not an
+    int ``TypeError``, then a loop :class:`SelfLoop` and an endpoint
+    outside ``0..n-1`` :class:`VertexOutOfRange`.  ``edges`` is a view: the
+    frozenset of ``(u, v)`` with ``u < v``, built on first read.
     Instances are immutable and hashable.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]] = frozenset()
     # Neighborhoods as bitmasks: bit ``w`` of entry ``v`` is set when
-    # ``v`` and ``w`` are adjacent.  Every routine here reads these; they
-    # are filled with the edges, in one walk.
-    adjacency_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # ``v`` and ``w`` are adjacent.  They are the graph; every routine
+    # here reads them.
+    adjacency_bits: tuple[int, ...]
     # The answers kept on the graph: its components, its exact coloring
     # and its complement (the graph itself, or a weak link on the
     # complement that :func:`complement` built).
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.n
+    def __new__(cls, n: int, edges: Iterable[Iterable[int]] = ()) -> SimpleGraph:
         if check_int(n, "n") < 0:
             raise ValueError("vertex count must be non-negative")
-        normalized = set()
         bits = [0] * n
-        for pair in self.edges:
+        for pair in edges:
             try:
                 u, v = pair
             except (TypeError, ValueError):
@@ -95,16 +94,26 @@ class SimpleGraph:
             for w in (u, v):
                 if not 0 <= w < n:
                     raise VertexOutOfRange(w, n)
-            normalized.add((u, v) if u < v else (v, u))
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-        object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "adjacency_bits", tuple(bits))
+        return _graph_from_masks(tuple(bits))
 
     def __reduce__(self):
-        # A copy rebuilds its kept answers on demand; a weak link cannot
-        # be pickled.
+        # A copy goes through the checks and rebuilds its kept answers on
+        # demand; a weak link cannot be pickled.
         return type(self), (self.n, self.edges)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as ``(u, v)`` with ``u < v``, read off the masks."""
+        edges = []
+        for u, bits in enumerate(self.adjacency_bits):
+            bits >>= u + 1
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                edges.append((u, u + low.bit_length()))
+        return frozenset(edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -116,13 +125,13 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.adjacency_bits)) // 2
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
 
     def is_edgeless(self) -> bool:
-        return self.edge_count == 0
+        return not any(self.adjacency_bits)
 
 
 @dataclass(frozen=True)
@@ -194,20 +203,12 @@ def complement(g: SimpleGraph) -> SimpleGraph:
 
 
 def _graph_from_masks(adj: tuple[int, ...]) -> SimpleGraph:
-    """The graph whose neighborhood masks are ``adj``, which must be
-    symmetric with no vertex's own bit set.  The masks are kept as given
-    and the edges read off them, so no edge is checked: the public
-    constructor checks every edge it is handed."""
-    edges = []
-    for u, bits in enumerate(adj):
-        bits >>= u + 1
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            edges.append((u, u + low.bit_length()))
+    """The graph whose neighborhood masks are ``adj``: the one place a
+    graph's fields are set.  ``adj`` is kept as given, unchecked, so it must
+    be symmetric with no vertex's own bit set; the public constructor
+    checks every edge it is handed."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "n", len(adj))
-    object.__setattr__(g, "edges", frozenset(edges))
     object.__setattr__(g, "adjacency_bits", adj)
     object.__setattr__(g, "_memo", {})
     return g

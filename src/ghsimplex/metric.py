@@ -133,12 +133,12 @@ class TwoDistanceSpace:
 
     @cached_property
     def graph(self) -> SimpleGraph:
-        """The minimal-distance graph: edges exactly the pairs at distance ``a``."""
-        n = self.n
-        ints = self.base.ints
+        """The minimal-distance graph, read off the checked int rows: bit
+        ``j`` of row ``i``'s mask is set when ``ints[i][j]`` is the smallest step."""
         low = self.base.steps[0]
-        return SimpleGraph(
-            n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if ints[i][j] == low)
+        bits = [1 << j for j in range(self.n)]
+        return graphs._graph_from_masks(
+            tuple(sum(compress(bits, map(low.__eq__, row))) for row in self.base.ints)
         )
 
     @cached_property

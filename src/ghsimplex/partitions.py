@@ -404,11 +404,13 @@ def extreme_points(ad: Iterable[Union[ADPoint, tuple]]) -> frozenset[ADPoint]:
 
 def h_value(point: ADPoint, lam: Union[Fraction, int, str]) -> Fraction:
     """max(d, lambda - alpha); the alpha = INF convention makes this d.
-    lambda goes through :func:`~ghsimplex.rationals.check_lambda`."""
+    lambda goes through :func:`~ghsimplex.rationals.check_lambda` and each
+    coordinate through :func:`~ghsimplex.rationals.exact`."""
     lam = check_lambda(lam)
+    d = exact(point.d, "d")
     if point.alpha == INF:
-        return point.d
-    return max(point.d, lam - point.alpha)
+        return d
+    return max(d, lam - exact(point.alpha, "alpha"))
 
 
 def gh_oracle(space: FiniteMetricSpace, m: int, lam: Union[Fraction, int, str]) -> Fraction:

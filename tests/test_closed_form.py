@@ -316,6 +316,19 @@ class TestCurve:
                     assert type(seg.intercept) is F, (curve.case.tag, seg)
         assert tags == set(GHCaseTag)
 
+    def test_space_keeps_at_most_n_plus_one_curves(self, e1_tds, e2_tds):
+        """A sweep far past n keeps the curves of m <= n + 1 only, and
+        every answer equals the one a space with no kept curves gives."""
+        for tds in (e1_tds, e2_tds):
+            n = tds.n
+            for m in range(1, 10 * n + 1):
+                fresh = two_distance_space_from_graph(tds.graph, tds.a, tds.b)
+                assert gh_curve(tds, m) == gh_curve(fresh, m)
+                for lam in (F(1, 2), tds.a, F(7, 3)):
+                    got = gh_two_distance(tds, m, lam)
+                    assert got == gh_two_distance(fresh, m, lam) and got.case.m == m
+            assert sorted(tds.cases) == list(range(1, n + 2))
+
 
 INEXACT = [0.5, True]
 
@@ -353,10 +366,16 @@ class TestExactInputs:
         with pytest.raises(TypeError):
             gh_oracle(e1_space, 2, lam)
 
-    @pytest.mark.parametrize("lam", INEXACT)
-    def test_h_value(self, lam):
+    @pytest.mark.parametrize("x", INEXACT)
+    def test_h_value(self, x):
+        """lambda, and each coordinate as in extreme_points, is exact."""
         with pytest.raises(TypeError, match="lambda must be exact"):
-            h_value(ADPoint(F(1), F(1)), lam)
+            h_value(ADPoint(F(1), F(1)), x)
+        for alpha in (F(1), INF):
+            with pytest.raises(TypeError, match="d must be exact"):
+                h_value(ADPoint(alpha, x), F(2))
+        with pytest.raises(TypeError, match="alpha must be exact"):
+            h_value(ADPoint(x, F(1)), F(2))
 
     @pytest.mark.parametrize("lam", [0, -5, F(-1, 2)])
     def test_h_value_rejects_nonpositive(self, lam):
@@ -398,6 +417,8 @@ class TestExactInputs:
             ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(text)),
             ("lambda", lambda: gh_oracle(e1_tds.base, 2, text)),
             ("lambda", lambda: h_value(ADPoint(F(1), F(1)), text)),
+            ("alpha", lambda: h_value(ADPoint(text, F(1)), 1)),
+            ("d", lambda: h_value(ADPoint(F(1), text), 1)),
             ("alpha", lambda: extreme_points([(text, F(1))])),
             ("d", lambda: extreme_points([(INF, text)])),
             ("a", lambda: clique_cover_via_gh(cycle_graph(5), text, 2)),
@@ -417,6 +438,8 @@ class TestExactInputs:
             ("lambda", lambda: gh_curve(e1_tds, 2).evaluate(bad)),
             ("lambda", lambda: gh_oracle(e1_tds.base, 2, bad)),
             ("lambda", lambda: h_value(ADPoint(F(1), F(1)), bad)),
+            ("alpha", lambda: h_value(ADPoint(bad, F(1)), 1)),
+            ("d", lambda: h_value(ADPoint(F(1), bad), 1)),
             ("alpha", lambda: extreme_points([(bad, F(1))])),
             ("d", lambda: extreme_points([(INF, bad)])),
             ("a", lambda: two_distance_space_from_graph(cycle_graph(5), bad, 2)),

@@ -95,6 +95,14 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             parse_graph("e 1 2\n", "dimacs")
 
+    @pytest.mark.parametrize(
+        "doc, line", [("p edge -1 0\n", 1), ("c negative\np edge -1 1\ne 1 2\n", 2)]
+    )
+    def test_dimacs_negative_vertex_count(self, doc, line):
+        """Rejected at the header line, before an edge can meet the count."""
+        with pytest.raises(ParseError, match=f"line {line}: vertex count must be non-negative"):
+            parse_graph(doc, "dimacs")
+
     def test_json_duplicate_edges_collapse(self):
         g = parse_graph(json.dumps({"n": 2, "edges": [[0, 1], [1, 0]]}), "json")
         assert g.edge_count == 1

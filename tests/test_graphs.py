@@ -1,10 +1,12 @@
 import copy
 import gc
 import itertools
+import json
 import pickle
 import random
 import re
 import weakref
+from fractions import Fraction as F
 
 import pytest
 
@@ -15,9 +17,12 @@ from ghsimplex import (
     SimpleGraph,
     VertexOutOfRange,
     ad_set,
+    as_two_distance,
     chromatic_number,
+    chromatic_via_gh,
     clique_cover_direct,
     clique_cover_number,
+    clique_cover_via_gh,
     coloring_is_proper,
     complement,
     complete_bipartite_graph,
@@ -26,12 +31,16 @@ from ghsimplex import (
     cover_is_valid,
     cycle_graph,
     empty_graph,
+    gh_two_distance,
     graph_from_edges,
     graph_invariants,
     is_clique,
     is_cluster_graph,
     min_distance_graph,
+    parse_graph,
     petersen_graph,
+    two_distance_space_from_graph,
+    validate_metric,
 )
 from ghsimplex.graphs import _color
 from conftest import all_graphs, random_graph, random_metric_space, random_two_distance
@@ -130,6 +139,33 @@ class TestComplement:
                 assert copied == want and hash(copied) == hash(want)
                 assert copied.adjacency_bits == masks
             assert complement(h) is g
+
+
+class TestEdgesView:
+    """A graph is its masks: ``edges`` is built on first read, and no
+    parse, search, route or count reads it."""
+
+    def test_no_search_or_route_builds_an_edge_set(self):
+        rng = random.Random(31)
+        for n in (5, 9, 14):
+            drawn = random_graph(rng, n, 0.4)
+            doc = json.dumps({"n": n, "edges": sorted(map(list, drawn.edges))})
+            g = parse_graph(doc, "json")
+            assert chromatic_number(g) == chromatic_number(drawn)
+            assert clique_cover_number(g)[0] == clique_cover_number(drawn)[0]
+            assert clique_cover_via_gh(g, 1, F(3, 2)) == clique_cover_number(drawn)[0]
+            assert chromatic_via_gh(g, 1, F(3, 2)) == chromatic_number(drawn)[0]
+            assert g.edge_count == len(drawn.edges)
+            assert not g.is_complete() and not g.is_edgeless()
+            # A space checked from its matrix reads its graph off the int rows.
+            built = two_distance_space_from_graph(drawn, F(1), F(3, 2))
+            tds = as_two_distance(validate_metric(built.points, built.base.dist))
+            assert graph_invariants(tds.graph) == graph_invariants(drawn)
+            for m in range(1, n + 3):
+                gh_two_distance(tds, m, F(5, 4))
+            for h in (g, complement(g), tds.graph, complement(tds.graph)):
+                assert "edges" not in vars(h), h
+            assert tds.graph == drawn and tds.graph.edges == drawn.edges
 
 
 class TestCliquePredicates:

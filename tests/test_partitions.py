@@ -47,6 +47,7 @@ from ghsimplex import (
     scan_prefixes,
     validate_metric,
 )
+from ghsimplex import graphs
 from conftest import (
     coprime_matrix,
     enumerated_oracle,
@@ -732,14 +733,16 @@ class TestThresholdCells:
         assert cells > 1500, cells
 
     def test_no_graph_is_built_per_cell(self, monkeypatch):
+        """Counted at the one funnel every graph passes through: checked,
+        complement and minimal-distance graphs alike."""
         built = []
-        real = SimpleGraph.__post_init__
+        real = graphs._graph_from_masks
 
-        def counting(self):
-            built.append(self.n)
-            real(self)
+        def counting(adj):
+            built.append(len(adj))
+            return real(adj)
 
-        monkeypatch.setattr(SimpleGraph, "__post_init__", counting)
+        monkeypatch.setattr(graphs, "_graph_from_masks", counting)
         rng = random.Random(72)
         for n in (6, 9):
             space = random_metric_space(rng, n, 10)
